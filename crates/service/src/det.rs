@@ -7,23 +7,18 @@
 //! [`digest`](DeterministicService::digest) is golden-pinned in
 //! `tests/service_determinism.rs`, which is what makes service
 //! behaviour replayable in CI (mirroring the fuzz/conformance golden
-//! digests in `crates/bench/tests/seed_stability.rs`).
+//! digests in `crates/bench/tests/seed_stability.rs`). Shards decide on
+//! the runtime's `AtomicMemory`, so the `coarse-substrate` build checks
+//! the same goldens on the lock-based reference objects.
 
-use sift_core::Persona;
 use sift_obs::ObsReport;
-use sift_shmem::memory::AtomicMemory;
 use sift_sim::rng::Xoshiro256StarStar;
 
 use crate::fact::{CommitFact, InstanceId};
-use crate::shard::{shard_of, InstanceMemory, Proposal, ShardConfig, ShardCore, ShardStats};
+use crate::shard::{shard_of, Proposal, ShardConfig, ShardCore, ShardStats};
 use crate::shard_obs_report;
 
 /// A single-threaded, seeded service over `S` shards.
-///
-/// Generic over the substrate so the differential tests can replay one
-/// script against `LockFreeMemory` and `CoarseMemory` and compare the
-/// resulting streams; defaults to the runtime's
-/// [`AtomicMemory`].
 ///
 /// # Examples
 ///
@@ -39,12 +34,12 @@ use crate::shard_obs_report;
 /// assert!([10, 20].contains(&facts[0].value));
 /// ```
 #[derive(Debug)]
-pub struct DeterministicService<M: InstanceMemory = AtomicMemory<Persona>> {
-    shards: Vec<ShardCore<M>>,
+pub struct DeterministicService {
+    shards: Vec<ShardCore>,
     stream: Vec<CommitFact>,
 }
 
-impl<M: InstanceMemory> DeterministicService<M> {
+impl DeterministicService {
     /// Creates `shards` empty shards sharing `config`.
     ///
     /// # Panics

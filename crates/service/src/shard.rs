@@ -3,11 +3,15 @@
 //! A [`ShardCore`] owns every instance whose id hashes to it. Each
 //! instance is a single-shot consensus: the proposals that have
 //! arrived by the time the shard ticks form the instance's *batch*, the
-//! batch becomes the participant set of a fresh conciliator +
-//! adopt-commit stack over an [`ObjectMemory`](sift_shmem::ObjectMemory)
-//! built for exactly that batch, and the stack's decision is frozen
-//! into a [`CommitFact`]. Proposals that arrive after the decision
-//! never re-run consensus — they read the stored fact (idempotence).
+//! batch becomes the participant set of a fresh [`consensus_stack`]
+//! over an [`AtomicMemory`] built for exactly that batch and run in
+//! lockstep, and the stack's decision is frozen into a [`CommitFact`].
+//! Proposals that arrive after the decision never re-run consensus —
+//! they read the stored fact (idempotence).
+//!
+//! `AtomicMemory` is the lock-free substrate by default and the
+//! lock-based reference under the `coarse-substrate` feature, so that
+//! build runs the whole service on the reference objects.
 //!
 //! The core is single-owner and synchronous; the async frontend in
 //! [`service`](crate::service) wraps one core per shard in a mutex and
@@ -20,15 +24,14 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
+use sift_adopt_commit::GafniSnapshotAc;
 use sift_consensus::{ConsensusOutcome, ConsensusProtocol};
 use sift_core::{Epsilon, Persona, SnapshotConciliator};
 use sift_obs::ObsReport;
-use sift_shmem::memory::{
-    ExecuteOps, ObjectMemory, SharedMaxRegister, SharedRegister, SharedSnapshot,
-};
+use sift_shmem::memory::AtomicMemory;
 use sift_shmem::run_lockstep_on;
 use sift_sim::rng::SeedSplitter;
-use sift_sim::{Layout, LayoutBuilder, ProcessId, Value};
+use sift_sim::{LayoutBuilder, ProcessId};
 
 use crate::fact::{CommitFact, DecideMeta, InstanceId, ServiceError};
 use crate::runtime::oneshot;
@@ -36,29 +39,6 @@ use crate::runtime::oneshot;
 /// The completion side of one proposal: resolved with the instance's
 /// commit fact (or a rejection) when the shard processes it.
 pub type Waiter = oneshot::Sender<Result<CommitFact, ServiceError>>;
-
-/// Memory that can be instantiated from a [`Layout`] — what a shard
-/// builds per consensus run. Implemented by every
-/// [`ObjectMemory`] assembly, so shards are generic over the substrate
-/// (the differential tests pin `LockFreeMemory` against
-/// `CoarseMemory`).
-pub trait InstanceMemory: ExecuteOps<Persona> {
-    /// Builds the memory for `layout`.
-    fn for_layout(layout: &Layout) -> Self;
-}
-
-impl<V, R, S, M> InstanceMemory for ObjectMemory<V, R, S, M>
-where
-    V: Value,
-    R: SharedRegister<V>,
-    S: SharedSnapshot<V>,
-    M: SharedMaxRegister<V>,
-    ObjectMemory<V, R, S, M>: ExecuteOps<Persona>,
-{
-    fn for_layout(layout: &Layout) -> Self {
-        ObjectMemory::new(layout)
-    }
-}
 
 /// Per-shard configuration.
 #[derive(Debug, Clone)]
@@ -137,7 +117,7 @@ impl ShardStats {
 
 /// The state of one shard. See the module docs for the lifecycle.
 #[derive(Debug)]
-pub struct ShardCore<M: InstanceMemory> {
+pub struct ShardCore {
     id: u16,
     config: ShardConfig,
     /// Proposals accepted since the last tick, in arrival order.
@@ -152,10 +132,9 @@ pub struct ShardCore<M: InstanceMemory> {
     evicted: HashSet<InstanceId>,
     seq: u64,
     obs: ObsReport,
-    _marker: std::marker::PhantomData<M>,
 }
 
-impl<M: InstanceMemory> ShardCore<M> {
+impl ShardCore {
     /// Creates an empty shard with the given id and configuration.
     pub fn new(id: u16, config: ShardConfig) -> Self {
         Self {
@@ -167,7 +146,6 @@ impl<M: InstanceMemory> ShardCore<M> {
             evicted: HashSet::new(),
             seq: 0,
             obs: ObsReport::new(),
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -265,15 +243,9 @@ impl<M: InstanceMemory> ShardCore<M> {
         let (value, decider_phases) = loop {
             let split = self.run_seed(instance, attempt);
             let mut builder = LayoutBuilder::new();
-            let protocol = ConsensusProtocol::allocate(
-                &mut builder,
-                n,
-                phases,
-                |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
-                |b| sift_adopt_commit_snapshot(b, n),
-            );
+            let protocol = consensus_stack(&mut builder, n, phases);
             let layout = builder.build();
-            let memory = M::for_layout(&layout);
+            let memory = AtomicMemory::new(&layout);
             let participants: Vec<_> = batch
                 .iter()
                 .enumerate()
@@ -395,13 +367,21 @@ impl<M: InstanceMemory> ShardCore<M> {
     }
 }
 
-/// The adopt-commit half of the per-instance stack (kept out of the
-/// closure so the turbofish stays readable).
-fn sift_adopt_commit_snapshot(
+/// The consensus stack one instance runs for a batch of `n`
+/// proposals: `phases` phases, each a [`SnapshotConciliator`]
+/// (ε = 1/2) followed by a [`GafniSnapshotAc`] on persona inputs.
+pub fn consensus_stack(
     builder: &mut LayoutBuilder,
     n: usize,
-) -> sift_adopt_commit::GafniSnapshotAc<Persona> {
-    sift_adopt_commit::GafniSnapshotAc::allocate(builder, n, |p: &Persona| p.input())
+    phases: usize,
+) -> ConsensusProtocol<SnapshotConciliator, GafniSnapshotAc<Persona>> {
+    ConsensusProtocol::allocate(
+        builder,
+        n,
+        phases,
+        |b| SnapshotConciliator::allocate(b, n, Epsilon::HALF),
+        |b| GafniSnapshotAc::allocate(b, n, |p: &Persona| p.input()),
+    )
 }
 
 /// Maps an instance id onto one of `shards` shards with a fixed
@@ -423,9 +403,6 @@ pub fn shard_of(instance: InstanceId, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_shmem::memory::AtomicMemory;
-
-    type Core = ShardCore<AtomicMemory<Persona>>;
 
     fn proposal(instance: u64, value: u64, tag: u64) -> Proposal {
         Proposal {
@@ -439,7 +416,7 @@ mod tests {
 
     #[test]
     fn single_proposal_decides_its_own_value() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         assert!(core.submit(proposal(7, 42, 1)));
         let facts = core.tick();
         assert_eq!(facts.len(), 1);
@@ -451,7 +428,7 @@ mod tests {
 
     #[test]
     fn conflicting_batch_decides_one_proposed_value() {
-        let mut core = Core::new(3, ShardConfig::default());
+        let mut core = ShardCore::new(3, ShardConfig::default());
         for (i, v) in [5u64, 9, 5, 13].into_iter().enumerate() {
             core.submit(proposal(1, v, i as u64));
         }
@@ -469,7 +446,7 @@ mod tests {
 
     #[test]
     fn repeat_proposals_return_the_original_fact() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         core.submit(proposal(2, 10, 0));
         let original = core.tick().remove(0);
         // Late proposal with a *different* value: answered from the
@@ -484,7 +461,7 @@ mod tests {
     #[test]
     fn decisions_are_replayable_from_the_seed() {
         let run = || {
-            let mut core = Core::new(1, ShardConfig::default());
+            let mut core = ShardCore::new(1, ShardConfig::default());
             for i in 0..6u64 {
                 core.submit(proposal(4, i % 3, i));
             }
@@ -499,7 +476,7 @@ mod tests {
             capacity: 2,
             ..ShardConfig::default()
         };
-        let mut core = Core::new(0, config);
+        let mut core = ShardCore::new(0, config);
         for id in 0..4u64 {
             core.submit(proposal(id, id, id));
             core.tick();
@@ -526,7 +503,7 @@ mod tests {
 
     #[test]
     fn explicit_evict_only_touches_decided_instances() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         assert!(!core.evict(InstanceId(9)), "unknown instance");
         core.submit(proposal(9, 1, 0));
         assert!(!core.evict(InstanceId(9)), "still open");
@@ -541,7 +518,7 @@ mod tests {
             capacity: 0,
             ..ShardConfig::default()
         };
-        let mut core = Core::new(0, config);
+        let mut core = ShardCore::new(0, config);
         let (tx, rx) = oneshot::channel();
         core.submit(Proposal {
             instance: InstanceId(5),
@@ -560,17 +537,17 @@ mod tests {
 
     #[test]
     fn crashed_tick_plus_retry_equals_clean_tick() {
-        let feed = |core: &mut Core| {
+        let feed = |core: &mut ShardCore| {
             for i in 0..12u64 {
                 core.submit(proposal(i % 4, i % 3, i));
             }
         };
-        let mut clean = Core::new(2, ShardConfig::default());
+        let mut clean = ShardCore::new(2, ShardConfig::default());
         feed(&mut clean);
         let clean_facts = clean.tick();
 
         for crash_after in 0..=4usize {
-            let mut crashed = Core::new(2, ShardConfig::default());
+            let mut crashed = ShardCore::new(2, ShardConfig::default());
             feed(&mut crashed);
             let mut facts = crashed.tick_crashing(crash_after);
             assert_eq!(facts.len(), crash_after.min(4));
@@ -583,7 +560,7 @@ mod tests {
 
     #[test]
     fn crashed_batches_emit_nothing_and_keep_waiters() {
-        let mut core = Core::new(0, ShardConfig::default());
+        let mut core = ShardCore::new(0, ShardConfig::default());
         core.submit(proposal(1, 10, 0));
         let (tx, rx) = oneshot::channel();
         core.submit(Proposal {

@@ -4,12 +4,11 @@
 //! runtime that drives the same [`Process`](sift_sim::Process) state
 //! machines on OS threads:
 //!
-//! * [`register::LockFreeRegister`] / [`register::PackedRegister`] /
-//!   [`register::AtomicIndexRegister`] — lock-free linearizable MWMR
-//!   registers (an allocation-free inline seqlock cell for ≤16-byte
-//!   trivially-destructible values, pointer publication for the rest, a
-//!   single `AtomicU64` for word-packable ones);
-//!   [`register::LockRegister`] is the lock-based reference.
+//! * [`register::LockFreeRegister`] — lock-free linearizable MWMR
+//!   register (an allocation-free inline seqlock cell for ≤16-byte
+//!   trivially-destructible values, pointer publication for the rest);
+//!   [`register::LockRegister`] is the lock-based reference and
+//!   [`register::AtomicIndexRegister`] a single-word `u32` register.
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
 //!   copy-on-write publication with `O(1)` wait-free scans.
 //!   [`snapshot::CoarseSnapshot`] is the lock-based reference;
@@ -24,14 +23,14 @@
 //!   reference and [`max_register::TreeMaxRegister`] the switch-trie
 //!   construction from monotone circuits (footnote 1's object, built
 //!   from plain bits).
-//! * [`indexed::IndexedMemory`] — lock-free execution of the
-//!   register-model protocols: personae are published once and
-//!   registers carry word-sized table indices.
 //! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
 //!   protocol's [`Layout`](sift_sim::Layout) over these objects and run
 //!   its participants on threads. `AtomicMemory` uses the lock-free
 //!   objects; building with the `coarse-substrate` feature switches it
 //!   to the lock-based references for differential testing.
+//! * [`runtime::run_lockstep_on`] / [`runtime::run_script_on`] — the
+//!   same participants driven single-threaded in a fixed slot order
+//!   through [`sift_sim::drive`], the simulator's sequential driver.
 //!
 //! Statistical claims are measured on the simulator, where the adversary
 //! is controlled; this crate shows the algorithms running on real
@@ -54,22 +53,18 @@
 #[allow(unsafe_code)]
 pub mod affinity;
 pub mod history;
-pub mod indexed;
 #[allow(unsafe_code)]
 mod lockfree;
 pub mod max_register;
 pub mod memory;
 pub mod obs;
-pub mod persona_table;
 pub mod register;
 pub mod runtime;
 pub mod snapshot;
 pub mod sync;
 
 pub use history::{history_fingerprint, RecordingMemory};
-pub use indexed::{run_threads_lock_free, IndexedMemory};
 pub use memory::{AtomicMemory, CoarseMemory, ExecuteOps, LockFreeMemory, ObjectMemory};
-pub use persona_table::PersonaTable;
 pub use runtime::{
     run_lockstep, run_lockstep_on, run_lockstep_recorded, run_script_on, run_threads,
     run_threads_recorded, ThreadReport,

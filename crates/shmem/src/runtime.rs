@@ -13,11 +13,10 @@
 use std::sync::Arc;
 
 use sift_sim::mc::History;
-use sift_sim::schedule::{RoundRobin, Schedule};
-use sift_sim::{Layout, Op, OpResult, Process, ProcessId, Step};
+use sift_sim::{drive, Layout, Op, OpResult, Process, ProcessId};
 
 use crate::history::RecordingMemory;
-use crate::memory::AtomicMemory;
+use crate::memory::{AtomicMemory, ExecuteOps};
 
 /// Outcome of one threaded run.
 #[derive(Debug)]
@@ -76,34 +75,8 @@ where
     P: Process + Send + 'static,
     P::Output: Send + 'static,
 {
-    let memory: Arc<AtomicMemory<P::Value>> = Arc::new(AtomicMemory::new(layout));
-    let handles: Vec<_> = processes
-        .into_iter()
-        .map(|mut proc| {
-            let memory = Arc::clone(&memory);
-            std::thread::spawn(move || {
-                let mut ops = 0u64;
-                let mut prev = None;
-                loop {
-                    match proc.step(prev.take()) {
-                        Step::Issue(op) => {
-                            ops += 1;
-                            prev = Some(memory.execute(op));
-                        }
-                        Step::Done(output) => return (output, ops),
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut outputs = Vec::with_capacity(handles.len());
-    let mut ops = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let (output, count) = handle.join().expect("process thread panicked");
-        outputs.push(output);
-        ops.push(count);
-    }
-    ThreadReport { outputs, ops }
+    let memory = Arc::new(AtomicMemory::new(layout));
+    run_on_threads(&memory, processes, |memory, _, op| memory.execute(op))
 }
 
 /// Runs each process state machine on its own OS thread against a
@@ -122,38 +95,48 @@ where
     P: Process + Send + 'static,
     P::Output: Send + 'static,
 {
-    let memory: Arc<RecordingMemory<P::Value>> = Arc::new(RecordingMemory::new(layout));
-    let handles: Vec<_> = processes
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut proc)| {
-            let memory = Arc::clone(&memory);
-            std::thread::spawn(move || {
-                let mut ops = 0u64;
-                let mut prev = None;
-                loop {
-                    match proc.step(prev.take()) {
-                        Step::Issue(op) => {
-                            ops += 1;
-                            prev = Some(memory.execute_as(ProcessId(i), op));
-                        }
-                        Step::Done(output) => return (output, ops),
-                    }
-                }
-            })
-        })
-        .collect();
-    let mut outputs = Vec::with_capacity(handles.len());
-    let mut ops = Vec::with_capacity(handles.len());
-    for handle in handles {
-        let (output, count) = handle.join().expect("process thread panicked");
-        outputs.push(output);
-        ops.push(count);
-    }
+    let memory = Arc::new(RecordingMemory::new(layout));
+    let report = run_on_threads(&memory, processes, RecordingMemory::execute_as);
     let Ok(memory) = Arc::try_unwrap(memory) else {
         unreachable!("all process threads joined, so no clone outlives us");
     };
-    (ThreadReport { outputs, ops }, memory.into_history())
+    (report, memory.into_history())
+}
+
+/// The per-thread loop both threaded runners share: process `i` runs
+/// to completion on its own thread through a one-process [`drive`],
+/// executing every operation as `execute(memory, ProcessId(i), op)`.
+fn run_on_threads<P, M, E>(
+    memory: &Arc<M>,
+    processes: Vec<P>,
+    execute: E,
+) -> ThreadReport<P::Output>
+where
+    P: Process + Send + 'static,
+    P::Output: Send + 'static,
+    M: Send + Sync + 'static,
+    E: Fn(&M, ProcessId, Op<P::Value>) -> OpResult<P::Value> + Copy + Send + 'static,
+{
+    let handles: Vec<_> = processes
+        .into_iter()
+        .enumerate()
+        .map(|(i, proc)| {
+            let memory = Arc::clone(memory);
+            std::thread::spawn(move || {
+                let mut ops = 0u64;
+                let outputs = drive([proc], std::iter::repeat(0), |_, op| {
+                    ops += 1;
+                    execute(&memory, ProcessId(i), op)
+                });
+                (finished(outputs).remove(0), ops)
+            })
+        })
+        .collect();
+    let (outputs, ops) = handles
+        .into_iter()
+        .map(|handle| handle.join().expect("process thread panicked"))
+        .unzip();
+    ThreadReport { outputs, ops }
 }
 
 /// Drives the state machines against the threaded objects in the exact
@@ -162,22 +145,23 @@ where
 /// Because the engine resumes a state machine immediately after its
 /// operation executes, "one operation per scheduled slot" here is the
 /// same discipline — outputs must match a simulator run under
-/// [`RoundRobin`] exactly, which `tests/cross_runtime.rs` verifies.
+/// [`RoundRobin`](sift_sim::schedule::RoundRobin) exactly, which
+/// `tests/cross_runtime.rs` verifies.
 pub fn run_lockstep<P: Process>(layout: &Layout, processes: Vec<P>) -> Vec<P::Output> {
     run_lockstep_on(&AtomicMemory::new(layout), processes)
 }
 
 /// [`run_lockstep`] against a caller-provided memory — any
-/// [`ExecuteOps`](crate::memory::ExecuteOps) implementation. This is
-/// what differential tests use to drive the *same* deterministic
-/// schedule through both substrates (e.g.
-/// [`LockFreeMemory`](crate::memory::LockFreeMemory) versus
+/// [`ExecuteOps`] implementation. This is what differential tests use
+/// to drive the *same* deterministic schedule through both substrates
+/// (e.g. [`LockFreeMemory`](crate::memory::LockFreeMemory) versus
 /// [`CoarseMemory`](crate::memory::CoarseMemory)) and compare outcomes.
-pub fn run_lockstep_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
+pub fn run_lockstep_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
 ) -> Vec<P::Output> {
-    drive_lockstep(processes, |_, op| memory.execute(op))
+    let n = processes.len();
+    finished(drive(processes, (0..n).cycle(), |_, op| memory.execute(op)))
 }
 
 /// [`run_lockstep`] over a [`RecordingMemory`]: returns the outputs and
@@ -187,16 +171,17 @@ pub fn run_lockstep_recorded<P: Process>(
     processes: Vec<P>,
 ) -> (Vec<P::Output>, History<P::Value>) {
     let memory = RecordingMemory::new(layout);
-    let outputs = drive_lockstep(processes, |pid, op| memory.execute_as(pid, op));
-    (outputs, memory.into_history())
+    let n = processes.len();
+    let outputs = drive(processes, (0..n).cycle(), |pid, op| {
+        memory.execute_as(pid, op)
+    });
+    (finished(outputs), memory.into_history())
 }
 
 /// Replays a process-id script — e.g. a fuzzer corpus entry or a shrunk
-/// counterexample — against a caller-provided memory, mirroring the
-/// simulator engine's slot semantics exactly: each script slot executes
-/// the scheduled process's pending operation and immediately resumes
-/// the state machine, slots naming finished processes are free no-ops,
-/// and processes the script starves end with `None`.
+/// counterexample — against a caller-provided memory, with the
+/// simulator engine's slot semantics (see [`drive`]): processes the
+/// script starves end with `None`.
 ///
 /// This is the substrate half of the differential fuzz harness: the
 /// same script replayed here on [`LockFreeMemory`](crate::memory::
@@ -207,78 +192,24 @@ pub fn run_lockstep_recorded<P: Process>(
 /// # Panics
 ///
 /// Panics if the script names a process index out of range.
-pub fn run_script_on<P: Process, M: crate::memory::ExecuteOps<P::Value>>(
+pub fn run_script_on<P: Process, M: ExecuteOps<P::Value>>(
     memory: &M,
     processes: Vec<P>,
     script: &[usize],
 ) -> Vec<Option<P::Output>> {
-    enum Slot<P: Process> {
-        Running { proc: P, pending: Op<P::Value> },
-        Done(P::Output),
-    }
-    let mut slots: Vec<Slot<P>> = processes
-        .into_iter()
-        .map(|mut proc| match proc.step(None) {
-            Step::Issue(op) => Slot::Running { proc, pending: op },
-            Step::Done(output) => Slot::Done(output),
-        })
-        .collect();
-    for &i in script {
-        assert!(i < slots.len(), "script names out-of-range process {i}");
-        if let Slot::Running { proc, pending } = &mut slots[i] {
-            let result = memory.execute(pending.clone());
-            match proc.step(Some(result)) {
-                Step::Issue(next) => *pending = next,
-                Step::Done(output) => slots[i] = Slot::Done(output),
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Running { .. } => None,
-            Slot::Done(output) => Some(output),
-        })
-        .collect()
+    drive(processes, script.iter().copied(), |_, op| {
+        memory.execute(op)
+    })
 }
 
-/// A live process paired with the result of its last operation, or
-/// `None` once it has finished.
-type LockstepSlot<P> = Option<(P, Option<OpResult<<P as Process>::Value>>)>;
-
-fn drive_lockstep<P: Process>(
-    processes: Vec<P>,
-    mut execute: impl FnMut(ProcessId, Op<P::Value>) -> OpResult<P::Value>,
-) -> Vec<P::Output> {
-    let mut slots: Vec<LockstepSlot<P>> = processes.into_iter().map(|p| Some((p, None))).collect();
-    let mut outputs: Vec<Option<P::Output>> = (0..slots.len()).map(|_| None).collect();
-    let mut schedule = RoundRobin::new(slots.len());
-    let mut remaining = slots.len();
-    while remaining > 0 {
-        let pid = schedule.next_pid().expect("round robin is infinite");
-        let slot = &mut slots[pid.index()];
-        if let Some((proc_ref, prev)) = slot.as_mut() {
-            match proc_ref.step(prev.take()) {
-                Step::Issue(op) => {
-                    *prev = Some(execute(pid, op));
-                }
-                Step::Done(out) => {
-                    outputs[pid.index()] = Some(out);
-                    *slot = None;
-                    remaining -= 1;
-                }
-            }
-        }
-    }
+/// Unwraps the outputs of a drive whose order was infinite, which runs
+/// every process to completion.
+fn finished<O>(outputs: Vec<Option<O>>) -> Vec<O> {
     outputs
         .into_iter()
-        .map(|o| o.expect("lockstep runs every process to completion"))
+        .map(|o| o.expect("an infinite order runs every process to completion"))
         .collect()
 }
-
-/// Convenience alias used by examples: the value type most protocols
-/// store.
-pub type PersonaMemory = AtomicMemory<sift_core::Persona>;
 
 #[cfg(test)]
 mod tests {

@@ -59,7 +59,6 @@
 pub mod adversary;
 pub mod engine;
 pub mod event;
-pub mod explore;
 pub mod fuzz;
 pub mod ids;
 pub mod layout;
@@ -87,8 +86,8 @@ pub use legacy::LegacyEngine;
 pub use memory::{CostModel, Memory, RegisterSemantics, Resolution};
 pub use metrics::Metrics;
 pub use op::{Op, OpKind, OpResult, ScanView};
-pub use process::{Process, Step};
-pub use value::{PackValue, Value};
+pub use process::{drive, Process, Step};
+pub use value::Value;
 
 // Compile-time audit that everything a parallel trial executor shares
 // across worker threads (layouts, schedules, metrics, seeds) is

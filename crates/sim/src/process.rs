@@ -4,8 +4,10 @@
 //! Protocols are written once as [`Process`] implementations and can then
 //! be driven by any runtime: the deterministic simulator
 //! ([`Engine`](crate::engine::Engine)) or a threaded runtime over real
-//! atomics (`sift-shmem`).
+//! atomics (`sift-shmem`). [`drive`] is the one sequential driver every
+//! runtime outside the engine and the model checker shares.
 
+use crate::ids::ProcessId;
 use crate::op::{Op, OpResult};
 use crate::value::Value;
 
@@ -83,6 +85,89 @@ impl<P: Process + ?Sized> Process for Box<P> {
     }
 }
 
+/// Drives `processes` sequentially against `execute`, one slot per
+/// index of `order`, with the engine's slot semantics: a slot executes
+/// the named process's pending operation and immediately resumes the
+/// process with the result. Slots naming finished processes are free
+/// no-ops, and the drive stops as soon as every process is done, so
+/// `order` may be infinite (`(0..n).cycle()` is round robin).
+///
+/// Returns each process's output in process order; a process that
+/// `order` starves ends with `None`.
+///
+/// # Examples
+///
+/// ```
+/// use sift_sim::{drive, LayoutBuilder, Memory, Op, OpResult, Process, RegisterId, Step};
+///
+/// /// Reads the register once and returns the value seen.
+/// struct ReadOnce(RegisterId);
+///
+/// impl Process for ReadOnce {
+///     type Value = u32;
+///     type Output = Option<u32>;
+///     fn step(&mut self, prev: Option<OpResult<u32>>) -> Step<u32, Option<u32>> {
+///         match prev {
+///             None => Step::Issue(Op::RegisterRead(self.0)),
+///             Some(result) => Step::Done(result.expect_register()),
+///         }
+///     }
+/// }
+///
+/// let mut b = LayoutBuilder::new();
+/// let r = b.register();
+/// let mut memory = Memory::new(&b.build());
+/// memory.execute(Op::RegisterWrite(r, 7));
+/// // Process 0 finishes after one slot; the order never schedules 1.
+/// let outputs = drive([ReadOnce(r), ReadOnce(r)], [0, 0, 0], |_, op| memory.execute(op));
+/// assert_eq!(outputs, vec![Some(Some(7)), None]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `order` names a process index out of range before every
+/// process is done.
+pub fn drive<P: Process>(
+    processes: impl IntoIterator<Item = P>,
+    order: impl IntoIterator<Item = usize>,
+    mut execute: impl FnMut(ProcessId, Op<P::Value>) -> OpResult<P::Value>,
+) -> Vec<Option<P::Output>> {
+    let processes = processes.into_iter();
+    let n = processes.size_hint().0;
+    let mut procs = Vec::with_capacity(n);
+    let mut pending = Vec::with_capacity(n);
+    let mut outputs = Vec::with_capacity(n);
+    for mut proc in processes {
+        match proc.step(None) {
+            Step::Issue(op) => {
+                pending.push(Some(op));
+                outputs.push(None);
+            }
+            Step::Done(output) => {
+                pending.push(None);
+                outputs.push(Some(output));
+            }
+        }
+        procs.push(proc);
+    }
+    let mut running = pending.iter().filter(|op| op.is_some()).count();
+    let mut order = order.into_iter();
+    while running > 0 {
+        let Some(i) = order.next() else { break };
+        assert!(i < procs.len(), "order names out-of-range process {i}");
+        if let Some(op) = pending[i].take() {
+            match procs[i].step(Some(execute(ProcessId(i), op))) {
+                Step::Issue(next) => pending[i] = Some(next),
+                Step::Done(output) => {
+                    outputs[i] = Some(output);
+                    running -= 1;
+                }
+            }
+        }
+    }
+    outputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,5 +223,58 @@ mod tests {
             p.step(Some(OpResult::RegisterValue(Some(4)))),
             Step::Done(Some(4))
         ));
+    }
+
+    /// Issues `ops` register reads, then finishes with the number of
+    /// results it saw.
+    struct Reads(usize, usize);
+
+    impl Process for Reads {
+        type Value = u32;
+        type Output = usize;
+
+        fn step(&mut self, prev: Option<OpResult<u32>>) -> Step<u32, usize> {
+            self.1 += usize::from(prev.is_some());
+            if self.1 < self.0 {
+                Step::Issue(Op::RegisterRead(RegisterId(0)))
+            } else {
+                Step::Done(self.1)
+            }
+        }
+    }
+
+    fn bottom(_: ProcessId, _: Op<u32>) -> OpResult<u32> {
+        OpResult::RegisterValue(None)
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-range process 2")]
+    fn drive_panics_on_an_out_of_range_index() {
+        drive(vec![Reads(1, 0), Reads(1, 0)], [0, 2], bottom);
+    }
+
+    #[test]
+    fn drive_stops_once_every_process_is_done_under_an_infinite_order() {
+        let mut executed = Vec::new();
+        let outputs = drive(vec![Reads(1, 0), Reads(3, 0)], (0..2).cycle(), |pid, op| {
+            executed.push(pid.index());
+            bottom(pid, op)
+        });
+        assert_eq!(outputs, vec![Some(1), Some(3)]);
+        assert_eq!(executed, vec![0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn drive_finishes_a_process_done_on_its_first_step_without_a_slot() {
+        let outputs = drive(vec![Reads(0, 0), Reads(1, 0)], std::iter::repeat(1), bottom);
+        assert_eq!(outputs, vec![Some(0), Some(1)]);
+        let outputs = drive(vec![Immediate], std::iter::empty(), |_, _| unreachable!());
+        assert_eq!(outputs, vec![Some("done")]);
+    }
+
+    #[test]
+    fn drive_with_zero_processes_returns_at_once() {
+        let outputs = drive(Vec::<Reads>::new(), std::iter::repeat(0), bottom);
+        assert!(outputs.is_empty());
     }
 }

@@ -66,7 +66,8 @@ conformance:
 
 # Service-level suites: agreement/validity/decide-exactly-once under
 # concurrent async clients, golden-pinned deterministic commit streams,
-# the service-path substrate differential, and the negative paths
+# the substrate differentials (including the service's consensus
+# stack), and the negative paths
 # (evictions, zero capacity, cancellation) — each at worker counts
 # 1, 4, and 8 — plus a small load-generator smoke run.
 service:
@@ -127,9 +128,8 @@ bench:
 # Refresh the tracked contention baseline: runs the contention bench
 # (full thread sweep t ∈ {2,4,8,16}; narrow with SIFT_BENCH_THREADS)
 # and writes per-benchmark medians to BENCH_shmem.json at the repo
-# root, plus the observation companion BENCH_obs.json (all-zero
-# substrate counters in this default build; see `bench-obs`). Also
-# refreshes BENCH_sim.json with the event engine's throughput sweep
+# root (BENCH_obs.json needs the substrate counters compiled in; see
+# `bench-obs`). Also refreshes BENCH_sim.json with the event engine's throughput sweep
 # (scheduled events/sec at n ∈ {10³, 10⁵, 10⁶}, including the
 # single-digit-second n = 10⁶ sifting round), BENCH_service.json
 # with the E23 service load run (1M Zipf-skewed proposals; per-shard
@@ -140,7 +140,6 @@ bench:
 # steadier baseline on a quiet machine.
 bench-json:
     SIFT_BENCH_JSON={{justfile_directory()}}/BENCH_shmem.json \
-    SIFT_BENCH_OBS_JSON={{justfile_directory()}}/BENCH_obs.json \
     cargo bench -p sift-bench --bench contention
     SIFT_BENCH_JSON={{justfile_directory()}}/BENCH_sim.json \
     cargo bench -p sift-bench --bench sim_engine
@@ -151,9 +150,20 @@ bench-json:
     SIFT_SOAK_JSON={{justfile_directory()}}/BENCH_conformance.json \
     cargo run --release -p sift-bench --bin exp_soak
 
-# The contention bench with the substrate's counters compiled in:
-# BENCH_obs.json then carries real CAS-retry / retire-pile / latency
-# numbers. Timings are not comparable to the default build's baseline.
+# Refresh the tracked BENCH_obs.json: the contention bench with the
+# substrate's counters compiled in, so it carries real CAS-retry /
+# retire-pile / latency numbers (narrow with SIFT_BENCH_THREADS).
+# Timings are not comparable to the default build's baseline.
 bench-obs:
     SIFT_BENCH_OBS_JSON={{justfile_directory()}}/BENCH_obs.json \
     cargo bench -p sift-bench --features obs --bench contention
+
+# Rust line counts per crate plus a total, over the tracked sources in
+# crates/, src/, tests/ and examples/ (the figure every change reports).
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    git ls-files -- 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' | xargs wc -l | awk '
+        $2 == "total" { next }
+        { split($2, p, "/"); k = (p[1] == "crates") ? p[1] "/" p[2] : p[1]; n[k] += $1; t += $1 }
+        END { for (k in n) printf "%8d  %s\n", n[k], k; printf "%8d  total\n", t }' | sort -k2

@@ -1,18 +1,18 @@
 //! Cross-runtime equivalence: the same protocol state machines run on
-//! the deterministic simulator and on the threaded substrate, and a
-//! lockstep driver over the threaded objects reproduces the simulator's
-//! outcome exactly.
+//! the deterministic simulator and on the threaded substrate, and the
+//! sequential drivers — over the simulator's memory or the threaded
+//! objects — reproduce the engine's outcome exactly.
+
+use std::fmt::Debug;
 
 use sift::core::{Conciliator, Epsilon, SiftingConciliator, SnapshotConciliator};
-use sift::shmem::{run_lockstep, run_threads};
+use sift::service::consensus_stack;
+use sift::shmem::{run_lockstep_on, run_threads, AtomicMemory};
 use sift::sim::rng::SeedSplitter;
 use sift::sim::schedule::RoundRobin;
-use sift::sim::{Engine, LayoutBuilder, ProcessId};
+use sift::sim::{drive, Engine, Layout, LayoutBuilder, Memory, Process, ProcessId};
 
-fn sifting_participants(
-    n: usize,
-    seed: u64,
-) -> (sift::sim::Layout, Vec<sift::core::SiftingParticipant>) {
+fn sifting_participants(n: usize, seed: u64) -> (Layout, Vec<sift::core::SiftingParticipant>) {
     let mut b = LayoutBuilder::new();
     let c = SiftingConciliator::allocate(&mut b, n, Epsilon::HALF);
     let layout = b.build();
@@ -26,39 +26,72 @@ fn sifting_participants(
     (layout, procs)
 }
 
-/// The simulator's engine resumes a state machine immediately after its
-/// op executes, so "one op per scheduled slot" in the lockstep driver is
-/// the same discipline — outcomes must match exactly.
+/// Runs the participants `make` builds three ways — `sift_sim::drive`
+/// in round-robin order over the simulator's plain `Memory`, the
+/// lockstep driver over the threaded objects, and the engine under
+/// `RoundRobin` — and demands identical outputs. The engine resumes a
+/// state machine immediately after its op executes, so "one op per
+/// scheduled slot" is the same discipline in all three.
+fn assert_runtimes_agree<P>(make: impl Fn() -> (Layout, Vec<P>), label: &str)
+where
+    P: Process,
+    P::Output: PartialEq + Debug,
+{
+    let (layout, procs) = make();
+    let n = procs.len();
+    let mut memory = Memory::new(&layout);
+    let driven: Vec<_> = drive(procs, (0..n).cycle(), |_, op| memory.execute(op))
+        .into_iter()
+        .map(|o| o.expect("round robin runs every process to completion"))
+        .collect();
+    let (layout, procs) = make();
+    let lockstep = run_lockstep_on(&AtomicMemory::new(&layout), procs);
+    let (layout, procs) = make();
+    let engine = Engine::new(&layout, procs)
+        .run(RoundRobin::new(n))
+        .unwrap_outputs();
+    assert_eq!(driven, lockstep, "{label}: drive vs lockstep");
+    assert_eq!(engine, lockstep, "{label}: engine vs lockstep");
+}
+
+/// The sifting conciliator, and the consensus stack a service shard
+/// decides each batch with (phase budget 4, conflicting inputs) at the
+/// batch sizes from a solo proposal to the contended 64: all three
+/// sequential runtimes agree exactly.
 #[test]
 fn lockstep_threads_match_simulator_exactly() {
     for seed in 0..20 {
-        let n = 9;
-        let (layout, procs) = sifting_participants(n, seed);
-        let sim_outputs: Vec<u64> = Engine::new(&layout, procs)
-            .run(RoundRobin::new(n))
-            .unwrap_outputs()
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-
-        let (layout2, procs2) = sifting_participants(n, seed);
-        let atomic_outputs: Vec<u64> = run_lockstep(&layout2, procs2)
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-
-        assert_eq!(sim_outputs, atomic_outputs, "seed {seed}");
+        assert_runtimes_agree(
+            || sifting_participants(9, seed),
+            &format!("sifting seed {seed}"),
+        );
+    }
+    for n in [1usize, 4, 16, 64] {
+        for seed in 0..50u64 {
+            let make = || {
+                let mut b = LayoutBuilder::new();
+                let stack = consensus_stack(&mut b, n, 4);
+                let split = SeedSplitter::new(seed);
+                let procs: Vec<_> = (0..n)
+                    .map(|i| {
+                        let mut rng = split.stream("participant", i as u64);
+                        stack.participant(ProcessId(i), i as u64 % 5, &mut rng)
+                    })
+                    .collect();
+                (b.build(), procs)
+            };
+            assert_runtimes_agree(make, &format!("stack n {n} seed {seed}"));
+        }
     }
 }
 
 #[test]
 fn lockstep_matches_for_snapshot_conciliator_too() {
+    let n = 6;
     for seed in 0..10 {
-        let n = 6;
-        let build = |seed: u64| {
+        let make = || {
             let mut b = LayoutBuilder::new();
             let c = SnapshotConciliator::allocate(&mut b, n, Epsilon::HALF);
-            let layout = b.build();
             let split = SeedSplitter::new(seed);
             let procs: Vec<_> = (0..n)
                 .map(|i| {
@@ -66,21 +99,9 @@ fn lockstep_matches_for_snapshot_conciliator_too() {
                     c.participant(ProcessId(i), 10 + i as u64, &mut rng)
                 })
                 .collect();
-            (layout, procs)
+            (b.build(), procs)
         };
-        let (layout, procs) = build(seed);
-        let sim: Vec<u64> = Engine::new(&layout, procs)
-            .run(RoundRobin::new(n))
-            .unwrap_outputs()
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-        let (layout2, procs2) = build(seed);
-        let atomic: Vec<u64> = run_lockstep(&layout2, procs2)
-            .into_iter()
-            .map(|p| p.input())
-            .collect();
-        assert_eq!(sim, atomic, "seed {seed}");
+        assert_runtimes_agree(make, &format!("snapshot seed {seed}"));
     }
 }
 

@@ -387,44 +387,33 @@ fn snapshot_conciliator_outcomes_agree_across_substrates() {
     }
 }
 
-/// Service-path differential: a whole sharded multi-instance service
-/// run — batching, idempotence table, phase-escalating attempts and
-/// all — must produce the *identical* commit-fact stream on both
-/// substrates. This is the end-to-end version of the conciliator
-/// differentials above: any substrate divergence that survives the
-/// protocol stack would surface here as a different decided value,
-/// batch shape, or attempt count, and the stream digest covers all of
-/// them.
+/// Consensus-stack differential: the stack a service shard decides
+/// each batch with (snapshot conciliator + Gafni snapshot adopt-commit,
+/// phase budget 4), run in lockstep from identical seeds on conflicting
+/// inputs, must reach identical outcomes — decided value, phase count
+/// and exhaustion alike — on both substrates, from a solo batch up to
+/// the 64-proposal batches the contended service workload forms.
 #[test]
-fn service_commit_streams_agree_across_substrates() {
-    use sift::core::Persona;
-    use sift::service::det::{uniform_script, DeterministicService};
-    use sift::service::ShardConfig;
+fn consensus_stack_outcomes_agree_across_substrates() {
+    use sift::service::consensus_stack;
 
-    for seed in 0..5u64 {
-        let script = uniform_script(seed, 250, 30, 6);
-        let run_on = |streams: &mut Vec<Vec<sift::service::CommitFact>>, coarse: bool| {
-            let config = ShardConfig {
-                seed,
-                ..ShardConfig::default()
+    for n in [1usize, 2, 4, 16, 64] {
+        for seed in 0..5u64 {
+            let mut b = LayoutBuilder::new();
+            let stack = consensus_stack(&mut b, n, 4);
+            let layout = b.build();
+            let make_procs = || {
+                let split = SeedSplitter::new(seed);
+                (0..n)
+                    .map(|i| {
+                        let mut rng = split.stream("participant", i as u64);
+                        stack.participant(ProcessId(i), i as u64 % 5, &mut rng)
+                    })
+                    .collect::<Vec<_>>()
             };
-            // Tick every 8 proposals so batches actually form.
-            if coarse {
-                let mut svc = DeterministicService::<CoarseMemory<Persona>>::new(4, config);
-                svc.run_script(&script, 8);
-                streams.push(svc.stream().to_vec());
-            } else {
-                let mut svc = DeterministicService::<LockFreeMemory<Persona>>::new(4, config);
-                svc.run_script(&script, 8);
-                streams.push(svc.stream().to_vec());
-            }
-        };
-        let mut streams = Vec::new();
-        run_on(&mut streams, false);
-        run_on(&mut streams, true);
-        assert_eq!(
-            streams[0], streams[1],
-            "seed {seed}: service commit-fact streams diverge across substrates"
-        );
+            let on_lockfree = run_lockstep_on(&LockFreeMemory::new(&layout), make_procs());
+            let on_coarse = run_lockstep_on(&CoarseMemory::new(&layout), make_procs());
+            assert_eq!(on_lockfree, on_coarse, "n {n} seed {seed}");
+        }
     }
 }
