@@ -400,19 +400,20 @@ mod tests {
     #[test]
     fn dropping_a_join_handle_cancels_nothing_and_panics_nothing() {
         let pool = Pool::new(1);
-        let flag = Arc::new(AtomicBool::new(false));
-        let seen = Arc::clone(&flag);
+        let (tx, rx) = oneshot::channel();
         let handle = pool.spawn(async move {
-            seen.store(true, Ordering::Release);
+            tx.send(()).unwrap();
         });
         drop(handle);
-        // The task still runs; give the worker a moment.
-        for _ in 0..100 {
-            if flag.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        panic!("spawned task never ran after its handle was dropped");
+        // The task still runs and sends. Wait on another thread, so a
+        // task that never runs fails the test instead of hanging it.
+        let (done, ran) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(block_on(rx));
+        });
+        let sent = ran
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("spawned task never ran after its handle was dropped");
+        assert_eq!(sent, Ok(()), "the task ran to its send");
     }
 }

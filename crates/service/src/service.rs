@@ -8,10 +8,16 @@
 //! already-decided instance resolve immediately from the table;
 //! proposals that land on an open instance within the same shard tick
 //! are batched into one consensus run.
+//!
+//! Waking is [`block_on`]'s park/unpark idiom: a pending proposal sets
+//! its shard's `dirty` flag, then unparks the shard's one owner, which
+//! ticks its dirty shards and parks. An unpark during the scan leaves
+//! the park token set, so no wakeup is lost and idle workers sleep
+//! without a timeout. One stop path serves restart and shutdown.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use sift_obs::ObsReport;
 
@@ -49,19 +55,8 @@ struct ShardSlot {
 
 struct Inner {
     slots: Vec<ShardSlot>,
-    shutdown: AtomicBool,
-    /// Crash injection: when set, workers exit *without* the shutdown
-    /// drain, leaving queued proposals in their shards' inboxes.
-    abort: AtomicBool,
-    wake_lock: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Inner {
-    fn notify(&self) {
-        let _guard = self.wake_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.wake.notify_all();
-    }
+    /// Set to make every worker leave its loop.
+    stop: AtomicBool,
 }
 
 /// The running service. Cheap to share behind an [`Arc`]; consumed by
@@ -103,10 +98,7 @@ impl Service {
                     dirty: AtomicBool::new(false),
                 })
                 .collect(),
-            shutdown: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
+            stop: AtomicBool::new(false),
         });
         let workers = spawn_workers(&inner, config.workers);
         Self {
@@ -143,8 +135,10 @@ impl Service {
             })
         };
         if pending {
+            // Flag before unpark: the owning worker either sees the
+            // flag on its current scan or finds its park token set.
             slot.dirty.store(true, Ordering::Release);
-            self.inner.notify();
+            self.workers[shard % self.workers.len()].thread().unpark();
         }
         ProposeFuture { receiver: rx }
     }
@@ -210,8 +204,8 @@ impl Service {
         shard_obs_report(shards.iter().map(|(id, obs)| (*id, obs)))
     }
 
-    /// Crash injection: kills every worker thread *without* the
-    /// shutdown drain — whatever the killed workers had not yet ticked
+    /// Crash injection: stops every worker thread *without* the
+    /// shutdown drain — whatever the stopped workers had not yet ticked
     /// stays queued in the shards' inboxes, waiters intact — then
     /// respawns the same number of workers. The instance tables
     /// (decided facts and eviction tombstones) live in the shard cores,
@@ -224,35 +218,36 @@ impl Service {
     /// checks.
     pub fn restart_workers(&mut self) {
         let count = self.workers.len();
-        self.inner.abort.store(true, Ordering::Release);
-        self.inner.notify();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.inner.abort.store(false, Ordering::Release);
+        self.stop_workers();
+        self.inner.stop.store(false, Ordering::Release);
         for slot in &self.inner.slots {
             slot.dirty.store(true, Ordering::Release);
         }
         self.workers = spawn_workers(&self.inner, count);
-        self.inner.notify();
     }
 
     /// Stops the workers, drains every shard one final time (pending
     /// waiters resolve with their facts), and returns the final merged
-    /// observation report.
+    /// observation report. The drain here is the only one: workers
+    /// exit without settling their shards.
     pub fn shutdown(mut self) -> ObsReport {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.notify();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Workers drain before exiting, but a proposal may have raced
-        // past the final worker pass; settle every shard here.
+        self.stop_workers();
         for slot in &self.inner.slots {
             let mut core = slot.core.lock().unwrap_or_else(|e| e.into_inner());
             core.tick();
         }
         self.obs_report()
+    }
+
+    /// The one stop path: raise `stop`, then unpark and join every
+    /// worker. `&mut self` keeps proposals (and their unparks) out
+    /// until the caller respawns or drains.
+    fn stop_workers(&mut self) {
+        self.inner.stop.store(true, Ordering::Release);
+        for worker in self.workers.drain(..) {
+            worker.thread().unpark();
+            let _ = worker.join();
+        }
     }
 }
 
@@ -269,43 +264,18 @@ fn spawn_workers(inner: &Arc<Inner>, count: usize) -> Vec<std::thread::JoinHandl
 }
 
 fn worker_loop(inner: &Arc<Inner>, worker: usize, stride: usize) {
+    // Same ownership rule as `propose_tagged`'s `shard % workers`.
     let owned: Vec<usize> = (worker..inner.slots.len()).step_by(stride).collect();
-    loop {
-        if inner.abort.load(Ordering::Acquire) {
-            // Simulated crash: die without the shutdown drain; queued
-            // proposals wait in the inboxes for the restarted workers.
-            return;
-        }
-        let mut did_work = false;
+    while !inner.stop.load(Ordering::Acquire) {
         for &index in &owned {
             let slot = &inner.slots[index];
             if slot.dirty.swap(false, Ordering::Acquire) {
-                let mut core = slot.core.lock().unwrap_or_else(|e| e.into_inner());
-                did_work |= !core.tick().is_empty();
+                slot.core.lock().unwrap_or_else(|e| e.into_inner()).tick();
             }
         }
-        if did_work {
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            // Final drain: settle anything that raced in after the
-            // last scan, then exit.
-            for &index in &owned {
-                let mut core = inner.slots[index]
-                    .core
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                core.tick();
-            }
-            return;
-        }
-        // The timeout bounds the residual lost-wakeup window (a client
-        // can set `dirty` between our scan and this wait).
-        let guard = inner.wake_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = inner
-            .wake
-            .wait_timeout(guard, Duration::from_millis(1))
-            .unwrap_or_else(|e| e.into_inner());
+        // Returns at once if an unpark landed during the scan; a
+        // spurious return only costs a rescan.
+        std::thread::park();
     }
 }
 

@@ -68,11 +68,13 @@ conformance:
 # concurrent async clients, golden-pinned deterministic commit streams,
 # the substrate differentials (including the service's consensus
 # stack), and the negative paths
-# (evictions, zero capacity, cancellation) — each at worker counts
-# 1, 4, and 8 — plus a small load-generator smoke run.
+# (evictions, zero capacity, cancellation, bounded liveness) — each at
+# worker counts 1, 4, and 8 — the idle-workers-stay-parked check, plus
+# a small load-generator smoke run.
 service:
     cargo test -q --test service_agreement --test service_determinism \
-        --test service_negative --test substrate_differential
+        --test service_negative --test substrate_differential \
+        --test service_idle
     cargo test -q -p sift-service
     SIFT_SERVICE_PROPOSALS=50000 SIFT_SERVICE_INSTANCES=5000 \
         cargo run --release -p sift-bench --bin exp_service

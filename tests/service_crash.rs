@@ -7,7 +7,7 @@
 //! (`crates/bench/src/soak.rs`):
 //!
 //! * the *threaded* model — [`Service::restart_workers`] kills every
-//!   worker without the shutdown drain (the abort flag strands
+//!   worker without the shutdown drain (the stop path strands
 //!   whatever the inbox holds) and respawns them against the same
 //!   shard tables, each at worker counts 1, 4, and 8;
 //! * the *deterministic* model — [`DeterministicService::

@@ -11,8 +11,13 @@
 //! * **client cancellation** — dropping a [`ProposeFuture`] mid-flight
 //!   — must neither wedge the shard nor leak table entries, asserted
 //!   via the shard-table introspection counters
-//!   ([`Service::stats`]: `pending == 0 && waiters == 0` after settle).
+//!   ([`Service::stats`]: `pending == 0 && waiters == 0` after settle);
+//! * **lost wakeups** — long runs of sequential proposals, and stopping
+//!   or restarting workers that are parked, must all finish. No timeout
+//!   stands behind the worker wake, so these cases run under
+//!   [`bounded`], which fails after a minute instead of hanging.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use sift::service::runtime::block_on;
@@ -48,6 +53,25 @@ fn settle(service: &Service, context: &str) {
             "{context}: shard table never settled: {stats:?}"
         );
         std::thread::yield_now();
+    }
+}
+
+/// Runs `case` on its own thread and fails if it has not finished
+/// within 60 s: a lost wakeup would otherwise hang the test forever.
+fn bounded(context: &str, case: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        case();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Err(RecvTimeoutError::Timeout) => panic!("{context}: wedged for 60 s"),
+        // `Disconnected` means the case panicked; re-raise its panic.
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = runner.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     }
 }
 
@@ -196,7 +220,7 @@ fn shutdown_resolves_in_flight_proposals() {
 /// Cancellation interleaved with a worker kill: clients that drop
 /// their futures before the restart must not leak waiters, and the
 /// restarted workers must still decide everything that was queued —
-/// the abort path strands the inbox, the restart's dirty re-scan
+/// the stop path strands the inbox, the restart's dirty re-scan
 /// recovers it.
 #[test]
 fn cancelled_clients_and_worker_kills_leak_nothing() {
@@ -227,5 +251,45 @@ fn cancelled_clients_and_worker_kills_leak_nothing() {
             "workers={workers}: cancelled proposals still decide after the restart"
         );
         service.shutdown();
+    }
+}
+
+/// One client, one proposal at a time, each on a fresh instance: every
+/// proposal needs a worker wake, so a single lost wakeup wedges the run.
+#[test]
+fn sequential_fresh_proposals_all_resolve() {
+    for workers in WORKER_COUNTS {
+        bounded(&format!("workers={workers}"), move || {
+            let service = service_with(workers, usize::MAX);
+            for raw in 0..20_000u64 {
+                let fact = service
+                    .propose_sync(InstanceId(raw), raw)
+                    .expect("fresh instance decides");
+                assert_eq!(fact.value, raw, "workers={workers}: singleton validity");
+            }
+            let obs = service.shutdown();
+            assert_eq!(obs.count("service.decided"), 20_000, "workers={workers}");
+        });
+    }
+}
+
+/// Workers parked with nothing to do must still stop on a restart and
+/// on shutdown, and restarted workers must wake for the next proposal.
+#[test]
+fn parked_workers_restart_and_shut_down() {
+    for workers in WORKER_COUNTS {
+        bounded(&format!("workers={workers}"), move || {
+            let mut service = service_with(workers, usize::MAX);
+            service.propose_sync(InstanceId(1), 1).expect("decides");
+            std::thread::sleep(Duration::from_millis(100));
+            service.restart_workers();
+            let fact = service
+                .propose_sync(InstanceId(2), 2)
+                .expect("restarted workers wake");
+            assert_eq!(fact.value, 2, "workers={workers}");
+            std::thread::sleep(Duration::from_millis(100));
+            let obs = service.shutdown();
+            assert_eq!(obs.count("service.decided"), 2, "workers={workers}");
+        });
     }
 }
