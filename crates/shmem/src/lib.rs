@@ -10,7 +10,9 @@
 //!   [`register::LockRegister`] is the lock-based reference and
 //!   [`register::AtomicIndexRegister`] a single-word `u32` register.
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
-//!   copy-on-write publication with `O(1)` wait-free scans.
+//!   delta publication. Updates are `O(1)` until a scan or the `n`-th
+//!   delta forces one `O(n)` copy; a scan clones one `Arc`, and the
+//!   first scan of a delta state builds and caches its vector.
 //!   [`snapshot::CoarseSnapshot`] is the lock-based reference;
 //!   [`snapshot::WaitFreeSnapshot`] is the Afek et al. construction
 //!   from single-writer registers, the one the paper's unit-cost

@@ -2,7 +2,7 @@
 //! allocation-free inline cells the small-payload register paths use.
 //!
 //! Everything lock-free in `sift-shmem` (registers, max registers,
-//! snapshot components, the snapshot's cached scan view) is built from
+//! snapshot states, the snapshot's cached scan views) is built from
 //! the types here:
 //!
 //! * [`Slot<T>`] — an atomic pointer to an immutable heap node holding a
@@ -12,6 +12,9 @@
 //! * [`Pile<T>`] — the retire pile shared by the slots of one object:
 //!   *striped* reader pins plus a Treiber stack of stamped retired
 //!   nodes.
+//! * [`OnceArc<T>`] — a set-once `Arc` cell filled by one
+//!   compare-exchange from null (racing fillers never wait; losers drop
+//!   their copy). The snapshot caches a materialized scan view in it.
 //! * [`SeqCell<T>`] and [`CombiningMax<T>`] — inline seqlock cells for
 //!   payloads that pass [`inline_ok`]: no allocation, no retirement, no
 //!   guards. See the "Inline cells" section below.
@@ -74,6 +77,7 @@
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Reader-gate stripes per pile (power of two).
 const STRIPES: usize = 16;
@@ -519,6 +523,86 @@ impl<T: Send> Drop for Slot<T> {
         if !current.is_null() {
             // Safety: `&mut self` — no reader can hold this node.
             drop(unsafe { Box::from_raw(current) });
+        }
+    }
+}
+
+/// A cell that starts empty and is filled with an `Arc<T>` at most
+/// once: the snapshot's cache of a materialized scan view.
+///
+/// Filling never waits. Racing callers each build their own value and
+/// one compare-exchange from null picks the winner; every loser drops
+/// its copy and gets the winner's. Once filled, the pointer never
+/// changes until the cell drops, which is what makes the borrowed
+/// [`get`](Self::get) sound.
+#[derive(Debug)]
+pub(crate) struct OnceArc<T> {
+    ptr: AtomicPtr<T>,
+    /// The cell owns one strong count of the installed `Arc`.
+    _owns: PhantomData<Arc<T>>,
+}
+
+impl<T> OnceArc<T> {
+    pub(crate) const fn new() -> Self {
+        Self {
+            ptr: AtomicPtr::new(ptr::null_mut()),
+            _owns: PhantomData,
+        }
+    }
+
+    /// The installed value, if any.
+    pub(crate) fn get(&self) -> Option<&T> {
+        let raw = self.ptr.load(Ordering::Acquire);
+        // Safety: a non-null pointer came from `Arc::into_raw` in `set`,
+        // and the cell keeps that strong count until it drops, which
+        // the `&self` borrow rules out.
+        (!raw.is_null()).then(|| unsafe { &*raw })
+    }
+
+    /// A new strong reference to the installed value, if any.
+    pub(crate) fn get_arc(&self) -> Option<Arc<T>> {
+        let raw = self.ptr.load(Ordering::Acquire);
+        // Safety: as in `get`; the increment adds the count the
+        // returned `Arc` owns.
+        (!raw.is_null()).then(|| unsafe {
+            Arc::increment_strong_count(raw);
+            Arc::from_raw(raw)
+        })
+    }
+
+    /// Installs `value` unless the cell is already filled, and returns
+    /// a strong reference to whichever value the cell now holds.
+    pub(crate) fn set(&self, value: Arc<T>) -> Arc<T> {
+        let ours = Arc::into_raw(value).cast_mut();
+        let installed = match self.ptr.compare_exchange(
+            ptr::null_mut(),
+            ours,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => ours,
+            Err(winner) => {
+                // Safety: `ours` was never published; this reclaims the
+                // count `into_raw` leaked.
+                drop(unsafe { Arc::from_raw(ours) });
+                winner
+            }
+        };
+        // Safety: `installed` is the cell's pointer, kept alive by the
+        // cell's own count; the increment adds the returned `Arc`'s.
+        unsafe {
+            Arc::increment_strong_count(installed);
+            Arc::from_raw(installed)
+        }
+    }
+}
+
+impl<T> Drop for OnceArc<T> {
+    fn drop(&mut self) {
+        let raw = *self.ptr.get_mut();
+        if !raw.is_null() {
+            // Safety: the cell's own strong count, released once.
+            drop(unsafe { Arc::from_raw(raw) });
         }
     }
 }
@@ -1189,6 +1273,42 @@ mod tests {
             published.load(Ordering::SeqCst),
             "every published node dropped exactly once"
         );
+    }
+
+    #[test]
+    fn once_arc_first_set_wins_and_losers_drop_their_copy() {
+        let cell: Arc<OnceArc<String>> = Arc::new(OnceArc::new());
+        assert!(cell.get().is_none() && cell.get_arc().is_none());
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (cell, start) = (Arc::clone(&cell), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let ours = Arc::new(format!("copy {t}"));
+                    let weak = Arc::downgrade(&ours);
+                    start.wait();
+                    (cell.set(ours), weak)
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let winner = Arc::clone(&results[0].0);
+        assert!(results.iter().all(|(got, _)| Arc::ptr_eq(got, &winner)));
+        // Exactly one thread's copy is installed; every loser's is gone.
+        let alive = results
+            .iter()
+            .filter(|(_, w)| w.upgrade().is_some())
+            .count();
+        assert_eq!(alive, 1, "losers must drop their copies");
+        assert_eq!(cell.get(), Some(&*winner));
+        assert!(Arc::ptr_eq(&cell.get_arc().unwrap(), &winner));
+        // A set on a filled cell keeps the installed value.
+        assert!(Arc::ptr_eq(&cell.set(Arc::new("late".into())), &winner));
+        let weak = Arc::downgrade(&winner);
+        drop((results, winner));
+        assert!(weak.upgrade().is_some(), "the cell keeps its own count");
+        drop(cell);
+        assert!(weak.upgrade().is_none(), "dropping the cell releases it");
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   writes, plus a histogram of writes collapsed per combining
 //!   install; a pure small-payload register workload shows inline
 //!   writes with **zero** retires/guard entries, proving the fast path;
+//! * snapshot representation counters — delta publishes, eager full
+//!   copies and scan-side rebuilds of `LockFreeSnapshot`, which say
+//!   how often an update or a scan paid the `O(n)` vector copy;
 //! * a retire-pile occupancy gauge with a high-water mark, and a
 //!   histogram of reclamation batch sizes (nodes freed per pass);
 //! * stale-epoch pin events — guards that pinned an epoch already
@@ -103,6 +106,15 @@ pub struct SubstrateSnapshot {
     /// was at or below the global maximum they observed (the O(1)
     /// amortized-CAS path).
     pub combine_covered: u64,
+    /// Snapshot updates published as an `O(1)` delta state.
+    pub snapshot_delta_publishes: u64,
+    /// Snapshot updates that copied the whole component vector (the
+    /// current state was already scanned, or its delta list was at the
+    /// component count).
+    pub snapshot_full_copies: u64,
+    /// Component vectors built by scans of delta states, including a
+    /// racing loser's discarded copy.
+    pub snapshot_rebuilds: u64,
     /// Nodes freed per reclamation pass.
     pub reclaim_batch: Histogram,
     /// Writes collapsed per combining install (the winner's own write
@@ -135,6 +147,12 @@ impl SubstrateSnapshot {
         r.add_count("substrate.inline_read_retries", self.inline_read_retries);
         r.add_count("substrate.combine_installs", self.combine_installs);
         r.add_count("substrate.combine_covered", self.combine_covered);
+        r.add_count(
+            "substrate.snapshot_delta_publishes",
+            self.snapshot_delta_publishes,
+        );
+        r.add_count("substrate.snapshot_full_copies", self.snapshot_full_copies);
+        r.add_count("substrate.snapshot_rebuilds", self.snapshot_rebuilds);
         r.observe_max("substrate.retire_pile_hwm", self.retire_pile_hwm);
         r.merge_hist("substrate.reclaim_batch", &self.reclaim_batch);
         r.merge_hist("substrate.combine_batch", &self.combine_batch);
@@ -172,6 +190,9 @@ mod active {
     pub(super) static INLINE_READ_RETRIES: StripedCounter = StripedCounter::new();
     pub(super) static COMBINE_INSTALLS: StripedCounter = StripedCounter::new();
     pub(super) static COMBINE_COVERED: StripedCounter = StripedCounter::new();
+    pub(super) static SNAPSHOT_DELTAS: StripedCounter = StripedCounter::new();
+    pub(super) static SNAPSHOT_FULL_COPIES: StripedCounter = StripedCounter::new();
+    pub(super) static SNAPSHOT_REBUILDS: StripedCounter = StripedCounter::new();
     pub(super) static RECLAIM_BATCH: AtomicHistogram = AtomicHistogram::new();
     pub(super) static COMBINE_BATCH: AtomicHistogram = AtomicHistogram::new();
     pub(super) static OP_LATENCY: [AtomicHistogram; OP_KINDS] =
@@ -193,6 +214,9 @@ mod active {
             inline_read_retries: INLINE_READ_RETRIES.sum(),
             combine_installs: COMBINE_INSTALLS.sum(),
             combine_covered: COMBINE_COVERED.sum(),
+            snapshot_delta_publishes: SNAPSHOT_DELTAS.sum(),
+            snapshot_full_copies: SNAPSHOT_FULL_COPIES.sum(),
+            snapshot_rebuilds: SNAPSHOT_REBUILDS.sum(),
             reclaim_batch: RECLAIM_BATCH.snapshot(),
             combine_batch: COMBINE_BATCH.snapshot(),
             op_latency_ns: std::array::from_fn(|i| OP_LATENCY[i].snapshot()),
@@ -214,6 +238,9 @@ mod active {
         INLINE_READ_RETRIES.reset();
         COMBINE_INSTALLS.reset();
         COMBINE_COVERED.reset();
+        SNAPSHOT_DELTAS.reset();
+        SNAPSHOT_FULL_COPIES.reset();
+        SNAPSHOT_REBUILDS.reset();
         RECLAIM_BATCH.reset();
         COMBINE_BATCH.reset();
         for h in &OP_LATENCY {
@@ -322,6 +349,15 @@ hooks! {
     fn note_combine_covered() {
         active::COMBINE_COVERED.add(1);
     }
+    fn note_snapshot_delta() {
+        active::SNAPSHOT_DELTAS.add(1);
+    }
+    fn note_snapshot_full_copy() {
+        active::SNAPSHOT_FULL_COPIES.add(1);
+    }
+    fn note_snapshot_rebuild() {
+        active::SNAPSHOT_REBUILDS.add(1);
+    }
     fn record_op_latency(kind_index: usize, ns: u64) {
         active::OP_LATENCY[kind_index].record(ns);
     }
@@ -349,6 +385,9 @@ mod tests {
         note_inline_read_retry();
         note_combine_install(3);
         note_combine_covered();
+        note_snapshot_delta();
+        note_snapshot_full_copy();
+        note_snapshot_rebuild();
         record_op_latency(0, 123);
         let snap = snapshot();
         if enabled() {
@@ -366,6 +405,9 @@ mod tests {
             assert!(snap.combine_installs >= 1);
             assert!(snap.combine_covered >= 1);
             assert!(snap.combine_batch.count() >= 1);
+            assert!(snap.snapshot_delta_publishes >= 1);
+            assert!(snap.snapshot_full_copies >= 1);
+            assert!(snap.snapshot_rebuilds >= 1);
             assert!(snap.op_latency_ns[0].count() >= 1);
         } else {
             assert_eq!(
@@ -385,6 +427,7 @@ mod tests {
             retire_pile_hwm: 9,
             inline_register_writes: 11,
             combine_covered: 5,
+            snapshot_full_copies: 7,
             ..SubstrateSnapshot::default()
         };
         snap.op_latency_ns[0].record(100);
@@ -394,6 +437,7 @@ mod tests {
         assert_eq!(report.max("substrate.retire_pile_hwm"), 9);
         assert_eq!(report.count("substrate.inline_register_writes"), 11);
         assert_eq!(report.count("substrate.combine_covered"), 5);
+        assert_eq!(report.count("substrate.snapshot_full_copies"), 7);
         assert_eq!(report.hist("substrate.combine_batch").unwrap().count(), 1);
         assert_eq!(
             report

@@ -2,10 +2,14 @@
 //!
 //! Three implementations of the same linearizable scan/update interface:
 //!
-//! * [`LockFreeSnapshot`] — optimistic double collect over lock-free
-//!   publication cells, with an `O(1)` cached-view fast path for
-//!   quiescent scans and a bounded helping fallback under sustained
-//!   interference. What the runtime uses by default.
+//! * [`LockFreeSnapshot`] — the whole state behind one lock-free
+//!   publication cell. An update publishes an `O(1)` delta state
+//!   (component, value, on top of its predecessor) with one
+//!   compare-exchange, and copies the vector only when the current
+//!   state was already scanned or its delta list reached the component
+//!   count. A scan is one load plus an `Arc` clone; the first scan of a
+//!   delta state builds the vector once and caches it. What the runtime
+//!   uses by default.
 //! * [`CoarseSnapshot`] — a reader-writer lock around the component
 //!   vector. Simple and obviously linearizable; kept as the reference
 //!   implementation (the `coarse-substrate` feature switches the

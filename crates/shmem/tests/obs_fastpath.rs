@@ -1,7 +1,9 @@
 //! Proof the inline register paths are actually taken: under a pure
 //! small-payload register workload the substrate counters must show
 //! inline activity and **zero** Pile machinery (no retires, no
-//! reclamation, no reader-guard entries, no slot CAS retries).
+//! reclamation, no reader-guard entries, no slot CAS retries). A last
+//! phase pins the snapshot's delta, full-copy and rebuild counts for
+//! one burst-then-scan pattern.
 //!
 //! Only meaningful with the `obs` feature (the hooks are no-op stubs
 //! otherwise), and deliberately a **single** test function: the
@@ -15,6 +17,7 @@
 use sift_shmem::max_register::LockFreeMaxRegister;
 use sift_shmem::obs;
 use sift_shmem::register::LockFreeRegister;
+use sift_shmem::snapshot::LockFreeSnapshot;
 
 const WRITES: u64 = 256;
 
@@ -73,4 +76,38 @@ fn inline_paths_bypass_pile_machinery() {
     let snap = obs::snapshot();
     assert!(snap.retired_nodes > 0, "published path retires nodes");
     assert_eq!(snap.inline_register_writes, 0);
+
+    // Phase 4: snapshot bursts in lockstep waves (every process
+    // updates, then every process scans).
+    obs::reset();
+    const N: usize = 8;
+    let snap: LockFreeSnapshot<u64> = LockFreeSnapshot::new(N);
+    // A full burst from the unscanned initial state: N - 1 delta
+    // states, then the fold at the depth cap copies once. The folded
+    // state is flat, so its scans build nothing.
+    for c in 0..N {
+        snap.update(c, c as u64);
+    }
+    for _ in 0..N {
+        assert_eq!(snap.scan()[N - 1], Some(N as u64 - 1));
+    }
+    // A partial burst: the first update finds a scanned state and
+    // copies eagerly, the next two are deltas. The first scan builds
+    // and caches the delta state's vector; the other N - 1 reuse it.
+    for c in 0..3 {
+        snap.update(c, 10 + c as u64);
+    }
+    for _ in 0..N {
+        assert_eq!(snap.scan()[2], Some(12));
+    }
+    // The same again with a burst of two: one copy, one delta, one
+    // build.
+    snap.update(0, 20);
+    snap.update(1, 21);
+    assert_eq!(&snap.scan()[..3], &[Some(20), Some(21), Some(12)]);
+    let snap = obs::snapshot();
+    assert_eq!(snap.snapshot_delta_publishes, (N as u64 - 1) + 2 + 1);
+    assert_eq!(snap.snapshot_full_copies, 3);
+    assert_eq!(snap.snapshot_rebuilds, 2);
+    assert_eq!(snap.republish_conflicts, 0, "one thread: no CAS conflicts");
 }

@@ -116,8 +116,17 @@ adversary:
     cargo test -q --release -p sift-bench --test adversary_boundary
     cargo test -q --test linearizability --features torn-publication
 
+# The repository benchmark's traced run: one short batch-contended
+# pass through perfbench (perfbench/README.md) with the per-layer
+# decision anatomy. Exits nonzero if any of its checks fails: the
+# golden digests, replay-matches-service, and stages adding up to the
+# tick at n = 1 and n = 64.
+anatomy:
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload batch-contended --seed 3 --seconds 2 --trace 1
+
 # Everything CI runs.
-ci: fmt-check clippy tier1 test-coarse test-obs mc determinism conformance adversary service soak
+ci: fmt-check clippy tier1 test-coarse test-obs mc determinism conformance adversary service soak anatomy
 
 # Regenerate the recorded experiment output (uses all cores).
 experiments:

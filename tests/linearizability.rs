@@ -251,6 +251,42 @@ fn threaded_snapshot_histories_linearize() {
     }
 }
 
+/// Threaded snapshot histories in bursts: each process issues `k`
+/// consecutive updates before every scan, for k ∈ {1, n, 2n}, so
+/// delta states, folds at the depth cap and racing first scans of one
+/// delta state all reach the checker.
+#[test]
+fn threaded_burst_snapshot_histories_linearize() {
+    const N: usize = 4;
+    for k in [1, N, 2 * N] {
+        for seed in 0..10 {
+            let mut b = LayoutBuilder::new();
+            let snap = b.snapshot(N);
+            let layout = b.build();
+            let split = SeedSplitter::new(seed);
+            let procs: Vec<_> = (0..N)
+                .map(|i| {
+                    let mut rng = split.stream("burst", i as u64);
+                    let ops = (0..2 * (k + 1))
+                        .map(|j| {
+                            if j % (k + 1) == k {
+                                Op::SnapshotScan(snap)
+                            } else {
+                                Op::SnapshotUpdate(snap, i, rng.next_u64() % 50)
+                            }
+                        })
+                        .collect();
+                    RandomWorkload { ops, next: 0 }
+                })
+                .collect();
+            let (_, history) = run_threads_recorded(&layout, procs);
+            history.check_well_formed().unwrap();
+            check_linearizable(&layout, &history)
+                .unwrap_or_else(|e| panic!("k {k}, seed {seed}: {e}"));
+        }
+    }
+}
+
 /// Threaded histories of the lock-free max register alone must
 /// linearize.
 #[test]
