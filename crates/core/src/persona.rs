@@ -149,6 +149,12 @@ impl Persona {
         self.0.priorities.len()
     }
 
+    /// Whether `self` and `other` are clones of one persona `Arc` (a
+    /// cheaper test than equality, which reads both origins).
+    pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Number of sifting rounds the persona carries choices for.
     pub fn sifting_rounds(&self) -> usize {
         self.0.choose_write.len()

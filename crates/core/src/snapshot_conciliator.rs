@@ -181,15 +181,34 @@ impl SnapshotParticipant {
         self.round
     }
 
+    /// Adopts the persona with the highest `(priority, origin)` key in
+    /// `view`, the last one on ties — exactly `max_by_key`.
+    ///
+    /// By Lemma 1 a view after the first round holds only `O(log m)`
+    /// distinct personae, mostly as clones of one `Arc`. An entry that
+    /// is the running best's own `Arc` has the same key, and taking it
+    /// would adopt the same persona, so it is skipped unread: each
+    /// distinct persona in a run of clones is dereferenced once.
     fn adopt_best(&mut self, view: &ScanView<Persona>) {
         let round = self.round;
-        let best = view
-            .present()
-            .map(|(_, p)| p)
-            .max_by_key(|p| (p.priority(round), p.origin()))
-            .expect("own update precedes the scan, so the view is non-empty")
-            .clone();
-        self.persona = best;
+        let key = |p: &Persona| (p.priority(round), p.origin());
+        let mut present = view.present().map(|(_, p)| p);
+        let first = present
+            .next()
+            .expect("own update precedes the scan, so the view is non-empty");
+        let mut best = (first, key(first));
+        for persona in present {
+            if persona.ptr_eq(best.0) {
+                continue;
+            }
+            let candidate = key(persona);
+            if candidate >= best.1 {
+                best = (persona, candidate);
+            }
+        }
+        if !best.0.ptr_eq(&self.persona) {
+            self.persona = best.0.clone();
+        }
     }
 }
 
@@ -378,6 +397,79 @@ mod tests {
         let report = run(3, Epsilon::QUARTER, 9, RoundRobin::new(3));
         for p in &report.processes {
             assert_eq!(p.history().len(), p.shared.rounds);
+        }
+    }
+
+    /// SplitMix64: a tiny seedable generator for test inputs.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    #[test]
+    fn adopt_best_matches_max_by_key() {
+        // Views mixing ⊥ entries, clones of a few personae (the shape
+        // Lemma 1 predicts after round 1), and distinct `Arc`s with
+        // equal keys. The result must be the very `Arc` the reference
+        // `max_by_key` picks (the last maximum).
+        let n = 16;
+        let mut b = LayoutBuilder::new();
+        // A tiny priority range makes equal priorities common.
+        let c = SnapshotConciliator::with_parameters(&mut b, n, 3, 4, Epsilon::HALF);
+        let mut rng = SplitMix64(15);
+        for trial in 0..2000 {
+            let seed = rng.next();
+            let persona = |pid: usize| {
+                let mut coins = Xoshiro256StarStar::seed_from_u64(seed ^ pid as u64);
+                c.participant(ProcessId(pid), pid as u64, &mut coins)
+                    .persona
+            };
+            // Twins: two independently generated personae per origin,
+            // equal in key and in value, distinct as `Arc`s.
+            let pool: Vec<Persona> = (0..4)
+                .flat_map(|pid| [persona(pid), persona(pid)])
+                .collect();
+            let mut components: Vec<Option<Persona>> = (0..n)
+                .map(|_| match rng.below(4) {
+                    0 => None,
+                    _ => Some(pool[rng.below(pool.len() as u64) as usize].clone()),
+                })
+                .collect();
+            let own = rng.below(n as u64) as usize;
+            let mut coins = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut participant = c.participant(ProcessId(own), 0, &mut coins);
+            participant.round = rng.below(3) as usize;
+            // The participant's own update precedes its scan; it holds
+            // either its own persona or a clone of one in the view.
+            if rng.below(2) == 0 {
+                participant.persona = pool[rng.below(pool.len() as u64) as usize].clone();
+            }
+            components[own] = Some(participant.persona.clone());
+            let view = ScanView::from_components(components);
+            let round = participant.round;
+            let reference = view
+                .present()
+                .map(|(_, p)| p)
+                .max_by_key(|p| (p.priority(round), p.origin()))
+                .unwrap()
+                .clone();
+            participant.adopt_best(&view);
+            assert!(
+                participant.persona.ptr_eq(&reference),
+                "trial {trial}: adopted {} instead of {reference}",
+                participant.persona
+            );
         }
     }
 

@@ -403,6 +403,61 @@ pub fn shard_of(instance: InstanceId, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sift_shmem::max_register::LockFreeMaxRegister;
+    use sift_shmem::memory::{ObjectMemory, SharedSnapshot};
+    use sift_shmem::register::LockFreeRegister;
+    use sift_shmem::snapshot::LockFreeSnapshot;
+    use sift_sim::ScanView;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static SNAPSHOTS_BUILT: AtomicUsize = AtomicUsize::new(0);
+
+    /// A lock-free snapshot that counts its constructions.
+    #[derive(Debug)]
+    struct CountingSnapshot(LockFreeSnapshot<Persona>);
+
+    impl SharedSnapshot<Persona> for CountingSnapshot {
+        fn new(components: usize) -> Self {
+            SNAPSHOTS_BUILT.fetch_add(1, Ordering::SeqCst);
+            Self(LockFreeSnapshot::new(components))
+        }
+        fn update(&self, component: usize, value: Persona) {
+            self.0.update(component, value)
+        }
+        fn scan(&self) -> ScanView<Persona> {
+            self.0.scan()
+        }
+    }
+
+    #[test]
+    fn a_one_phase_decision_builds_only_its_phase_objects() {
+        // The shard's n = 64 stack allocates its default 4 phases up
+        // front; a decision in phase 1 touches only phase 1's objects.
+        let n = 64;
+        let mut builder = LayoutBuilder::new();
+        let protocol = consensus_stack(&mut builder, n, ShardConfig::default().base_phases);
+        let layout = builder.build();
+        assert_eq!(layout.snapshot_components().len(), 36);
+        let memory: ObjectMemory<
+            Persona,
+            LockFreeRegister<Persona>,
+            CountingSnapshot,
+            LockFreeMaxRegister<Persona>,
+        > = ObjectMemory::new(&layout);
+        let split = SeedSplitter::new(7);
+        let participants: Vec<_> = (0..n)
+            .map(|i| {
+                let mut rng = split.stream("participant", i as u64);
+                protocol.participant(ProcessId(i), 1000 + i as u64, &mut rng)
+            })
+            .collect();
+        let outcomes = run_lockstep_on(&memory, participants);
+        assert!(outcomes.iter().all(|o| matches!(
+            o,
+            ConsensusOutcome::Decided(d) if d.phases == 1
+        )));
+        assert_eq!(SNAPSHOTS_BUILT.load(Ordering::SeqCst), 9, "9 of 36 built");
+    }
 
     fn proposal(instance: u64, value: u64, tag: u64) -> Proposal {
         Proposal {

@@ -11,7 +11,9 @@
 //!   [`register::AtomicIndexRegister`] a single-word `u32` register.
 //! * [`snapshot::LockFreeSnapshot`] — lock-free snapshot: versioned
 //!   delta publication. Updates are `O(1)` until a scan or the `n`-th
-//!   delta forces one `O(n)` copy; a scan clones one `Arc`, and the
+//!   delta forces one `O(n)` copy; an `O(1)` update is one allocation,
+//!   a state node that owns the delta states it extends, so a chain of
+//!   them is retired once, as a unit. A scan clones one `Arc`, and the
 //!   first scan of a delta state builds and caches its vector.
 //!   [`snapshot::CoarseSnapshot`] is the lock-based reference;
 //!   [`snapshot::WaitFreeSnapshot`] is the Afek et al. construction
@@ -26,8 +28,8 @@
 //!   construction from monotone circuits (footnote 1's object, built
 //!   from plain bits).
 //! * [`memory::AtomicMemory`] + [`runtime::run_threads`] — instantiate a
-//!   protocol's [`Layout`](sift_sim::Layout) over these objects and run
-//!   its participants on threads. `AtomicMemory` uses the lock-free
+//!   protocol's [`Layout`](sift_sim::Layout) over these objects (each
+//!   built on its first touch) and run its participants on threads. `AtomicMemory` uses the lock-free
 //!   objects; building with the `coarse-substrate` feature switches it
 //!   to the lock-based references for differential testing.
 //! * [`runtime::run_lockstep_on`] / [`runtime::run_script_on`] — the

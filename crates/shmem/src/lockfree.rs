@@ -7,8 +7,14 @@
 //!
 //! * [`Slot<T>`] — an atomic pointer to an immutable heap node holding a
 //!   `T` (null encodes ⊥). Writers publish with a single
-//!   [`swap`](Slot::store) or a [`compare_exchange`](Slot::publish_max)
-//!   loop; readers dereference under a [`ReadGuard`].
+//!   [`swap`](Slot::store), a [`compare_exchange`](Slot::publish_max)
+//!   loop, or single copy-on-write attempts
+//!   ([`try_publish`](Slot::try_publish)) that reuse one unpublished
+//!   [`Candidate`] across retries; readers dereference under a
+//!   [`ReadGuard`]. A node published with `adopt` owns the node it
+//!   displaced, so a run of publications that each extend their
+//!   predecessor (the snapshot's delta states) forms a *chain* that is
+//!   retired once, as a unit. See "Chains" below.
 //! * [`Pile<T>`] — the retire pile shared by the slots of one object:
 //!   *striped* reader pins plus a Treiber stack of stamped retired
 //!   nodes.
@@ -73,6 +79,23 @@
 //! and the occupied minimum keeps advancing. Everything still
 //! unreclaimed is freed in `Drop`, when `&mut self` proves no reader
 //! can exist.
+//!
+//! # Chains
+//!
+//! [`Slot::try_publish`] with `adopt` hands the displaced node to the
+//! new one through the new node's owning `older` link instead of
+//! retiring it. Each such publication extends a chain, newest first; a
+//! publication without `adopt` retires the chain's newest node, and
+//! with it the whole chain, with one stamp. That stamp is drawn after
+//! the unlink of the newest node, which follows the unlink of every
+//! older one, so for every node `N` of the chain `pin(R) ≤
+//! stamp(chain)` holds for any reader `R` that can hold `N`: the
+//! argument above applies to the chain as it does to a single node. A
+//! reader that reaches an older node through the links ([`Loaded::older`])
+//! holds the chain's newest node, which owns it. A candidate that loses
+//! its CAS clears its link before it is handed back, so it never owns
+//! the publication that beat it. A node frees the chain it owns in a
+//! loop when it drops, not by recursion.
 
 use std::marker::PhantomData;
 use std::ptr;
@@ -83,7 +106,7 @@ use std::sync::Arc;
 const STRIPES: usize = 16;
 
 /// Retires between opportunistic reclamation attempts.
-const RECLAIM_INTERVAL: usize = 64;
+const RECLAIM_INTERVAL: u64 = 64;
 
 /// Stripe word layout: low bits count the stripe's occupants, the rest
 /// hold the minimum retire-sequence pin among them (meaningless while
@@ -121,15 +144,64 @@ pub(crate) struct Node<T: Send> {
     /// Retire-sequence ticket, written at retirement. Atomic because
     /// readers may still hold `&Node` when the retirer writes it.
     stamp: AtomicU64,
+    /// The node this one displaced, when it was published with `adopt`
+    /// (see "Chains" in the module docs); null otherwise. Owning, and
+    /// written only while the node is exclusively owned: before its
+    /// publication, or when a lost candidate is handed back. Atomic so
+    /// that readers walking a chain need no `unsafe` aliasing argument.
+    older: AtomicPtr<Node<T>>,
+    /// Nodes freed with this one: 1 plus the length of the chain it
+    /// owns. Written before publication; feeds the retire and reclaim
+    /// counters.
+    #[cfg(feature = "obs")]
+    nodes: u64,
 }
 
 impl<T: Send> Node<T> {
-    fn boxed(value: T) -> *mut Node<T> {
-        Box::into_raw(Box::new(Node {
+    fn new(value: T) -> Self {
+        Node {
             value,
             next: AtomicPtr::new(ptr::null_mut()),
             stamp: AtomicU64::new(0),
-        }))
+            older: AtomicPtr::new(ptr::null_mut()),
+            #[cfg(feature = "obs")]
+            nodes: 1,
+        }
+    }
+
+    fn boxed(value: T) -> *mut Node<T> {
+        Box::into_raw(Box::new(Node::new(value)))
+    }
+
+    /// The node count the `nodes` field records (1 without `obs`).
+    ///
+    /// # Safety
+    ///
+    /// `node` must be live.
+    unsafe fn node_count(node: *const Node<T>) -> u64 {
+        #[cfg(feature = "obs")]
+        return (*node).nodes;
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = node;
+            1
+        }
+    }
+}
+
+impl<T: Send> Drop for Node<T> {
+    /// Frees the chain this node owns in a loop, so chains of any length
+    /// drop in constant stack.
+    fn drop(&mut self) {
+        let mut cur = *self.older.get_mut();
+        while !cur.is_null() {
+            // Safety: `older` owns `cur`, and dropping its owner proves no
+            // reader can reach the chain any more. Detaching the next link
+            // first keeps `cur`'s own drop from recursing.
+            let mut node = unsafe { Box::from_raw(cur) };
+            cur = std::mem::replace(node.older.get_mut(), ptr::null_mut());
+            drop(node);
+        }
     }
 }
 
@@ -148,8 +220,6 @@ pub(crate) struct Pile<T: Send> {
     /// The monotone retire sequence stamps dole out of.
     seq: AtomicU64,
     retired: AtomicPtr<Node<T>>,
-    /// Retires since creation (approximate); paces reclamation.
-    retire_count: AtomicUsize,
     /// The pile owns the retired nodes (and therefore their `T`s).
     _owns: PhantomData<Node<T>>,
 }
@@ -170,7 +240,6 @@ impl<T: Send> Pile<T> {
             epoch: Stripe(AtomicU64::new(0)),
             seq: AtomicU64::new(0),
             retired: AtomicPtr::new(ptr::null_mut()),
-            retire_count: AtomicUsize::new(0),
             _owns: PhantomData,
         }
     }
@@ -209,7 +278,8 @@ impl<T: Send> Pile<T> {
     /// occasionally attempts reclamation.
     fn retire(&self, node: *mut Node<T>) {
         debug_assert!(!node.is_null());
-        crate::obs::note_retire();
+        // Safety: the caller unlinked `node`; it is live until reclaimed.
+        crate::obs::note_retire(unsafe { Node::node_count(node) });
         let stamp = self.seq.fetch_add(1, Ordering::SeqCst);
         // Safety: unlinked and not yet pushed — no other writer touches
         // `stamp`; concurrent readers may hold `&Node`, hence atomic.
@@ -231,9 +301,8 @@ impl<T: Send> Pile<T> {
         }
         // Reclaim in batches: reading all gate stripes touches many
         // lines, so doing it on every retire would defeat the striping.
-        if self.retire_count.fetch_add(1, Ordering::Relaxed) % RECLAIM_INTERVAL
-            == RECLAIM_INTERVAL - 1
-        {
+        // Stamps are unique and consecutive, so they pace the batches.
+        if stamp % RECLAIM_INTERVAL == RECLAIM_INTERVAL - 1 {
             self.try_reclaim();
         }
     }
@@ -269,18 +338,19 @@ impl<T: Send> Pile<T> {
         while !cur.is_null() {
             // Safety: the detached chain is exclusively ours.
             let next = unsafe { (*cur).next.load(Ordering::Relaxed) };
+            let nodes = unsafe { Node::node_count(cur) };
             if unsafe { (*cur).stamp.load(Ordering::Relaxed) } < min_pin {
                 // Safety: retired before every active reader pinned —
                 // unreachable (module docs).
                 drop(unsafe { Box::from_raw(cur) });
-                freed += 1;
+                freed += nodes;
             } else {
                 unsafe { (*cur).next.store(keep_head, Ordering::Relaxed) };
                 if keep_head.is_null() {
                     keep_tail = cur;
                 }
                 keep_head = cur;
-                kept += 1;
+                kept += nodes;
             }
             cur = next;
         }
@@ -371,17 +441,16 @@ impl<T: Send> Slot<T> {
         }
     }
 
-    /// The raw current pointer; only for identity comparisons (the
-    /// double collect). Stable for the lifetime of `guard`: nodes are
-    /// never freed while a reader is inside the pile, so distinct
-    /// pointers observed under one guard are distinct publications.
-    pub(crate) fn load_raw(&self, _guard: &ReadGuard<'_, T>) -> *mut Node<T> {
+    /// The raw current pointer. Stable for the lifetime of `guard`:
+    /// nodes are never freed while a reader is inside the pile.
+    fn load_raw(&self, _guard: &ReadGuard<'_, T>) -> *mut Node<T> {
         self.ptr.load(Ordering::SeqCst)
     }
 
-    /// Dereferences a pointer previously returned by
-    /// [`load_raw`](Slot::load_raw) under the same guard.
-    pub(crate) fn deref_raw<'g>(raw: *mut Node<T>, _guard: &ReadGuard<'g, T>) -> Option<&'g T> {
+    /// Dereferences a pointer returned by [`load_raw`](Slot::load_raw)
+    /// (or by a failed compare-exchange) under a guard that is still
+    /// held.
+    fn deref_raw<'g>(raw: *mut Node<T>, _guard: &'g ReadGuard<'_, T>) -> Option<&'g T> {
         if raw.is_null() {
             None
         } else {
@@ -392,8 +461,16 @@ impl<T: Send> Slot<T> {
     }
 
     /// Reads the current value under `guard`.
-    pub(crate) fn load<'g>(&self, guard: &ReadGuard<'g, T>) -> Option<&'g T> {
+    pub(crate) fn load<'g>(&self, guard: &'g ReadGuard<'_, T>) -> Option<&'g T> {
         Self::deref_raw(self.load_raw(guard), guard)
+    }
+
+    /// The current publication, as the expected value of a later
+    /// [`try_publish`](Slot::try_publish).
+    pub(crate) fn load_current<'g>(&self, guard: &'g ReadGuard<'_, T>) -> Loaded<'g, T> {
+        // Safety: the guard keeps every node published before or during
+        // it alive.
+        unsafe { Loaded::new(self.load_raw(guard)) }
     }
 
     /// Publishes `value` unconditionally (register semantics), retiring
@@ -457,55 +534,126 @@ impl<T: Send> Slot<T> {
 }
 
 impl<T: Send> Slot<T> {
-    /// Publishes a value derived from the current entry (copy-on-write
-    /// semantics): a compare-exchange loop that rebuilds the candidate
-    /// from the freshest entry on every conflict, reusing the
-    /// candidate's allocation across retries. The displaced node is
-    /// retired onto `pile`.
+    /// One compare-exchange that publishes `candidate` in place of
+    /// `current` (copy-on-write semantics: the caller built `candidate`
+    /// from `current`).
     ///
-    /// Lock-free: a failed CAS means another writer published, which is
-    /// system-wide progress.
-    pub(crate) fn publish_with(
+    /// With `adopt`, the published node takes ownership of the node it
+    /// displaced through its `older` link, and nothing is retired: the
+    /// pair is retired later, as one chain, by whichever publication
+    /// without `adopt` displaces the chain's newest node. Without
+    /// `adopt`, the displaced node is retired onto `pile`, together
+    /// with any chain it owns.
+    ///
+    /// On a lost race the candidate comes back with its link cleared
+    /// (it never owns the node it linked), ready to be rebuilt in
+    /// place, together with the publication that won.
+    pub(crate) fn try_publish<'g>(
         &self,
+        current: Loaded<'g, T>,
+        mut candidate: Candidate<T>,
+        adopt: bool,
         pile: &Pile<T>,
-        guard: &ReadGuard<'_, T>,
-        mut make: impl FnMut(Option<&T>) -> T,
-    ) {
-        let mut current = self.load_raw(guard);
-        let mut new: *mut Node<T> = ptr::null_mut();
-        let mut attempts = 0u32;
-        loop {
-            let value = make(Self::deref_raw(current, guard));
-            if new.is_null() {
-                new = Node::boxed(value);
+    ) -> Result<(), (Candidate<T>, Loaded<'g, T>)> {
+        let older = if adopt { current.raw } else { ptr::null_mut() };
+        *candidate.0.older.get_mut() = older;
+        #[cfg(feature = "obs")]
+        {
+            // Safety: `current` is live under the guard it was loaded
+            // with.
+            candidate.0.nodes = 1 + if older.is_null() {
+                0
             } else {
-                // Safety: never published yet, exclusively ours.
-                unsafe { (*new).value = value };
+                unsafe { Node::node_count(older) }
+            };
+        }
+        let new = Box::into_raw(candidate.0);
+        match self
+            .ptr
+            .compare_exchange(current.raw, new, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(old) => {
+                if !adopt && !old.is_null() {
+                    pile.retire(old);
+                }
+                Ok(())
             }
-            match self
-                .ptr
-                .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(old) => {
-                    if !old.is_null() {
-                        pile.retire(old);
-                    }
-                    return;
-                }
-                Err(now) => {
-                    crate::obs::note_republish_conflict();
-                    current = now;
-                    // Bounded backoff: under a write burst, each failed
-                    // CAS costs a full `make` rebuild, so a short pause
-                    // that lets the winner finish is much cheaper than
-                    // immediately re-colliding.
-                    for _ in 0..(1u32 << attempts.min(6)) {
-                        std::hint::spin_loop();
-                    }
-                    attempts += 1;
-                }
+            Err(now) => {
+                crate::obs::note_republish_conflict();
+                // Safety: the CAS failed, so `new` was never published
+                // and is still exclusively ours.
+                let mut lost = unsafe { Box::from_raw(new) };
+                // `older` still belongs to the slot, or to whoever
+                // displaced it: unlink it before the candidate can drop
+                // it.
+                *lost.older.get_mut() = ptr::null_mut();
+                // Safety: `now` was loaded under the guard `current`
+                // was, which is still held.
+                Err((Candidate(lost), unsafe { Loaded::new(now) }))
             }
         }
+    }
+}
+
+/// A publication loaded from a [`Slot`] under a guard, or a node of
+/// the chain it owns: the expected value of a [`Slot::try_publish`].
+/// Valid for the guard's lifetime.
+#[derive(Debug)]
+pub(crate) struct Loaded<'g, T: Send> {
+    raw: *mut Node<T>,
+    _guard: PhantomData<&'g T>,
+}
+
+impl<T: Send> Clone for Loaded<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: Send> Copy for Loaded<'_, T> {}
+
+impl<'g, T: Send> Loaded<'g, T> {
+    /// # Safety
+    ///
+    /// `raw` is null or a node that stays live for `'g`.
+    unsafe fn new(raw: *mut Node<T>) -> Self {
+        Self {
+            raw,
+            _guard: PhantomData,
+        }
+    }
+
+    /// The loaded value (`None` is ⊥).
+    pub(crate) fn get(self) -> Option<&'g T> {
+        // Safety: live for `'g` (see `new`).
+        (!self.raw.is_null()).then(|| unsafe { &(*self.raw).value })
+    }
+
+    /// The node this one displaced and owns, if it was published with
+    /// `adopt`; ⊥ otherwise.
+    pub(crate) fn older(self) -> Self {
+        if self.raw.is_null() {
+            return self;
+        }
+        // Safety: `raw` is live for `'g`, and it owns its `older` node,
+        // which therefore lives as long. The link was stored before
+        // `raw` was published, which orders it before the load that
+        // found `raw`.
+        unsafe { Self::new((*self.raw).older.load(Ordering::Relaxed)) }
+    }
+}
+
+/// A node built but not yet published: exclusively owned by its
+/// builder, and reusable across [`Slot::try_publish`] attempts.
+pub(crate) struct Candidate<T: Send>(Box<Node<T>>);
+
+impl<T: Send> Candidate<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Self(Box::new(Node::new(value)))
+    }
+
+    pub(crate) fn get_mut(&mut self) -> &mut T {
+        &mut self.0.value
     }
 }
 
@@ -573,13 +721,35 @@ impl<T> OnceArc<T> {
     /// Installs `value` unless the cell is already filled, and returns
     /// a strong reference to whichever value the cell now holds.
     pub(crate) fn set(&self, value: Arc<T>) -> Arc<T> {
+        let installed = self.install(value);
+        // Safety: `installed` is the cell's pointer, kept alive by the
+        // cell's own count; the increment adds the returned `Arc`'s.
+        unsafe {
+            Arc::increment_strong_count(installed);
+            Arc::from_raw(installed)
+        }
+    }
+
+    /// The installed value, built by `make` and installed first if the
+    /// cell is empty. Racing callers each build one; every loser drops
+    /// its copy and gets the winner's.
+    pub(crate) fn get_or_init(&self, make: impl FnOnce() -> T) -> &T {
+        match self.get() {
+            Some(value) => value,
+            // Safety: as in `get`: the installed pointer stays valid
+            // while the cell, borrowed by `&self`, holds its count.
+            None => unsafe { &*self.install(Arc::new(make())) },
+        }
+    }
+
+    /// Installs `value` unless the cell is already filled, and returns
+    /// the cell's pointer (the cell keeps its count).
+    fn install(&self, value: Arc<T>) -> *const T {
         let ours = Arc::into_raw(value).cast_mut();
-        let installed = match self.ptr.compare_exchange(
-            ptr::null_mut(),
-            ours,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
+        match self
+            .ptr
+            .compare_exchange(ptr::null_mut(), ours, Ordering::AcqRel, Ordering::Acquire)
+        {
             Ok(_) => ours,
             Err(winner) => {
                 // Safety: `ours` was never published; this reclaims the
@@ -587,12 +757,6 @@ impl<T> OnceArc<T> {
                 drop(unsafe { Arc::from_raw(ours) });
                 winner
             }
-        };
-        // Safety: `installed` is the cell's pointer, kept alive by the
-        // cell's own count; the increment adds the returned `Arc`'s.
-        unsafe {
-            Arc::increment_strong_count(installed);
-            Arc::from_raw(installed)
         }
     }
 }
@@ -1217,6 +1381,96 @@ mod tests {
         assert_eq!(slot.load(&guard), Some(&String::from("second")));
         drop(guard);
         assert_eq!(slot.read_cloned(&pile), Some(String::from("second")));
+    }
+
+    /// A value with its own drop counter.
+    struct Tracked(Arc<AtomicUsize>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn tracked() -> (Tracked, Arc<AtomicUsize>) {
+        let drops = Arc::new(AtomicUsize::new(0));
+        (Tracked(Arc::clone(&drops)), drops)
+    }
+
+    /// Publishes `value` on top of whatever `slot` holds, adopting the
+    /// displaced node when `adopt`.
+    fn publish(slot: &Slot<Tracked>, pile: &Pile<Tracked>, value: Tracked, adopt: bool) {
+        let guard = pile.enter();
+        let current = slot.load_current(&guard);
+        assert!(slot
+            .try_publish(current, Candidate::new(value), adopt, pile)
+            .is_ok());
+    }
+
+    #[test]
+    fn guards_keep_adopted_chains_alive() {
+        // A reader holds the oldest node of a chain while the chain is
+        // retired whole and the pile reclaims around it.
+        let pile = Pile::new();
+        let slot = Slot::new();
+        let (a, a_drops) = tracked();
+        slot.store(a, &pile);
+        let guard = pile.enter();
+        let held = slot.load(&guard).unwrap();
+        let mut chain = Vec::new();
+        for _ in 0..3 {
+            let (value, drops) = tracked();
+            publish(&slot, &pile, value, true);
+            chain.push(drops);
+        }
+        // Retire the 4-node chain, then enough single nodes to run
+        // several reclamation passes.
+        let mut singles = Vec::new();
+        for _ in 0..3 * RECLAIM_INTERVAL {
+            let (value, drops) = tracked();
+            publish(&slot, &pile, value, false);
+            singles.push(drops);
+        }
+        // Read through the held reference: a freed node would be a
+        // use after free (and `a` dropped).
+        assert_eq!(held.0.load(Ordering::SeqCst), 0, "held node freed");
+        assert!(chain.iter().all(|d| d.load(Ordering::SeqCst) == 0));
+        drop(guard);
+        for _ in 0..RECLAIM_INTERVAL {
+            let (value, drops) = tracked();
+            publish(&slot, &pile, value, false);
+            singles.push(drops);
+        }
+        assert_eq!(a_drops.load(Ordering::SeqCst), 1, "chain reclaimed once");
+        assert!(chain.iter().all(|d| d.load(Ordering::SeqCst) == 1));
+        drop((slot, pile));
+        assert!(singles.iter().all(|d| d.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn lost_candidates_never_own_the_winner() {
+        let pile = Pile::new();
+        let slot = Slot::new();
+        let (a, a_drops) = tracked();
+        slot.store(a, &pile);
+        let guard = pile.enter();
+        let stale = slot.load_current(&guard);
+        // Another writer extends the chain first: `b` now owns `a`.
+        let (b, b_drops) = tracked();
+        publish(&slot, &pile, b, true);
+        let (c, c_drops) = tracked();
+        let (lost, now) = match slot.try_publish(stale, Candidate::new(c), true, &pile) {
+            Ok(()) => panic!("a stale expected value must lose"),
+            Err(lost) => lost,
+        };
+        assert!(now.get().is_some() && now.older().get().is_some());
+        drop(lost);
+        assert_eq!(c_drops.load(Ordering::SeqCst), 1);
+        assert_eq!(a_drops.load(Ordering::SeqCst), 0, "the loser freed `a`");
+        drop(guard);
+        drop((slot, pile));
+        assert_eq!(a_drops.load(Ordering::SeqCst), 1);
+        assert_eq!(b_drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -18,9 +18,18 @@
 //! crate is built with the `coarse-substrate` feature, so the whole
 //! test suite doubles as a differential test between the two
 //! substrates.
+//!
+//! Objects are built on first touch. A layout often declares far more
+//! objects than a run uses (the service's consensus stack allocates
+//! four phases, and most decisions end in the first), so construction
+//! only sizes one pointer per object. The first operation on an object
+//! builds it and installs it with a compare-exchange from null; racing
+//! first operations each build one, every loser drops its copy and uses
+//! the winner's, and nobody waits, so memory stays lock-free.
 
 use sift_sim::{Layout, MaxRegisterId, Op, OpResult, RegisterId, ScanView, SnapshotId, Value};
 
+use crate::lockfree::OnceArc;
 use crate::max_register::{LockFreeMaxRegister, LockMaxRegister};
 use crate::register::{LockFreeRegister, LockRegister};
 use crate::snapshot::{CoarseSnapshot, LockFreeSnapshot};
@@ -155,9 +164,10 @@ where
     S: SharedSnapshot<V>,
     M: SharedMaxRegister<V>,
 {
-    registers: Vec<R>,
-    snapshots: Vec<S>,
-    max_registers: Vec<M>,
+    registers: Vec<OnceArc<R>>,
+    /// Each snapshot with its component count.
+    snapshots: Vec<(usize, OnceArc<S>)>,
+    max_registers: Vec<OnceArc<M>>,
     _marker: std::marker::PhantomData<V>,
 }
 
@@ -185,16 +195,21 @@ where
     S: SharedSnapshot<V>,
     M: SharedMaxRegister<V>,
 {
-    /// Instantiates thread-safe memory for `layout`.
+    /// Instantiates thread-safe memory for `layout`. Objects are built
+    /// on first touch; until then each costs one null pointer.
     pub fn new(layout: &Layout) -> Self {
         Self {
-            registers: (0..layout.register_count()).map(|_| R::new()).collect(),
+            registers: (0..layout.register_count())
+                .map(|_| OnceArc::new())
+                .collect(),
             snapshots: layout
                 .snapshot_components()
                 .iter()
-                .map(|&c| S::new(c))
+                .map(|&c| (c, OnceArc::new()))
                 .collect(),
-            max_registers: (0..layout.max_register_count()).map(|_| M::new()).collect(),
+            max_registers: (0..layout.max_register_count())
+                .map(|_| OnceArc::new())
+                .collect(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -229,15 +244,16 @@ where
     }
 
     fn register(&self, id: RegisterId) -> &R {
-        &self.registers[id.index()]
+        self.registers[id.index()].get_or_init(R::new)
     }
 
     fn snapshot(&self, id: SnapshotId) -> &S {
-        &self.snapshots[id.index()]
+        let (components, cell) = &self.snapshots[id.index()];
+        cell.get_or_init(|| S::new(*components))
     }
 
     fn max_register(&self, id: MaxRegisterId) -> &M {
-        &self.max_registers[id.index()]
+        self.max_registers[id.index()].get_or_init(M::new)
     }
 }
 
@@ -257,6 +273,8 @@ where
 mod tests {
     use super::*;
     use sift_sim::LayoutBuilder;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Barrier};
 
     fn exercise<Mem: ExecuteOps<u32>>(mem: &Mem, layout: (RegisterId, SnapshotId, MaxRegisterId)) {
         let (r, s, m) = layout;
@@ -284,6 +302,89 @@ mod tests {
         exercise(&lock_free, (r, s, m));
         let coarse: CoarseMemory<u32> = CoarseMemory::new(&layout);
         exercise(&coarse, (r, s, m));
+    }
+
+    /// Constructions and live instances of [`Counting`] snapshots, one
+    /// pair per test (`ID`), so parallel tests do not share counters.
+    static BUILT: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+    static LIVE: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+
+    /// A lock-free snapshot that counts its constructions and drops.
+    #[derive(Debug)]
+    struct Counting<const ID: usize>(LockFreeSnapshot<u32>);
+
+    impl<const ID: usize> SharedSnapshot<u32> for Counting<ID> {
+        fn new(components: usize) -> Self {
+            BUILT[ID].fetch_add(1, Ordering::SeqCst);
+            LIVE[ID].fetch_add(1, Ordering::SeqCst);
+            Self(LockFreeSnapshot::new(components))
+        }
+        fn update(&self, component: usize, value: u32) {
+            self.0.update(component, value)
+        }
+        fn scan(&self) -> ScanView<u32> {
+            self.0.scan()
+        }
+    }
+
+    impl<const ID: usize> Drop for Counting<ID> {
+        fn drop(&mut self) {
+            LIVE[ID].fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    type CountingMemory<const ID: usize> =
+        ObjectMemory<u32, LockFreeRegister<u32>, Counting<ID>, LockFreeMaxRegister<u32>>;
+
+    #[test]
+    fn untouched_objects_are_never_built() {
+        let mut b = LayoutBuilder::new();
+        let snapshots = b.snapshots(5, 3);
+        let layout = b.build();
+        let mem: CountingMemory<0> = ObjectMemory::new(&layout);
+        assert_eq!(
+            BUILT[0].load(Ordering::SeqCst),
+            0,
+            "construction builds nothing"
+        );
+        mem.execute(Op::SnapshotUpdate(snapshots[2], 1, 7))
+            .expect_ack();
+        for _ in 0..3 {
+            let view = mem.execute(Op::SnapshotScan(snapshots[2])).expect_view();
+            assert_eq!(&view[..], &[None, Some(7), None]);
+        }
+        assert_eq!(BUILT[0].load(Ordering::SeqCst), 1, "one touched, one built");
+        drop(mem);
+        assert_eq!(LIVE[0].load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn racing_first_touches_leave_one_object() {
+        const THREADS: usize = 4;
+        let mut b = LayoutBuilder::new();
+        let s = b.snapshot(THREADS);
+        let mem: Arc<CountingMemory<1>> = Arc::new(ObjectMemory::new(&b.build()));
+        let start = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (mem, start) = (Arc::clone(&mem), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    mem.execute(Op::SnapshotUpdate(s, t, t as u32)).expect_ack();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let built = BUILT[1].load(Ordering::SeqCst);
+        assert!((1..=THREADS).contains(&built), "built {built}");
+        assert_eq!(LIVE[1].load(Ordering::SeqCst), 1, "losers drop their copy");
+        // Every racer's update landed on the one installed object.
+        let view = mem.execute(Op::SnapshotScan(s)).expect_view();
+        assert_eq!(&view[..], &[Some(0), Some(1), Some(2), Some(3)]);
+        drop(mem);
+        assert_eq!(LIVE[1].load(Ordering::SeqCst), 0);
     }
 
     #[test]

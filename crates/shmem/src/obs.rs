@@ -10,7 +10,8 @@
 //!
 //! * striped relaxed counters for the hot events — slot CAS retries
 //!   ([`Slot::publish_max`](crate::lockfree)), snapshot republish
-//!   conflicts (`publish_with` rebuild loops), guard entries, retires;
+//!   conflicts (failed `try_publish` attempts), guard entries, retires
+//!   (a retired snapshot delta chain counts every node it holds);
 //! * inline-cell counters — seqlock register publishes and write/read
 //!   retries, combining max-register installs and covered (dominated)
 //!   writes, plus a histogram of writes collapsed per combining
@@ -109,7 +110,7 @@ pub struct SubstrateSnapshot {
     /// Snapshot updates published as an `O(1)` delta state.
     pub snapshot_delta_publishes: u64,
     /// Snapshot updates that copied the whole component vector (the
-    /// current state was already scanned, or its delta list was at the
+    /// current state was already scanned, or its delta chain was at the
     /// component count).
     pub snapshot_full_copies: u64,
     /// Component vectors built by scans of delta states, including a
@@ -320,10 +321,10 @@ hooks! {
             active::STALE_EPOCH_PINS.add(1);
         }
     }
-    fn note_retire() {
+    fn note_retire(nodes: u64) {
         use std::sync::atomic::Ordering;
-        active::RETIRED_NODES.add(1);
-        let len = active::PILE_LEN.fetch_add(1, Ordering::Relaxed) + 1;
+        active::RETIRED_NODES.add(nodes);
+        let len = active::PILE_LEN.fetch_add(nodes, Ordering::Relaxed) + nodes;
         active::PILE_HWM.observe(len);
     }
     fn note_reclaim(freed: u64, _kept: u64) {
@@ -377,8 +378,8 @@ mod tests {
         note_republish_conflict();
         note_guard_entry(true);
         note_guard_entry(false);
-        note_retire();
-        note_retire();
+        note_retire(1);
+        note_retire(1);
         note_reclaim(1, 1);
         note_inline_register_write();
         note_inline_write_retry();

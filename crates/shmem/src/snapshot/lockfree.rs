@@ -3,30 +3,35 @@
 //!
 //! The whole object state lives behind **one** publication [`Slot`]
 //! holding an immutable [`State`]: a monotone version number, the
-//! component vector of its nearest *flat* ancestor (`base`), and the
-//! updates made since that ancestor as a persistent list of deltas,
-//! newest first. A state with no deltas is flat: `base` is its
-//! component vector.
+//! component vector of its nearest *flat* ancestor (`base`) and, for a
+//! *delta state*, the one update `(component, value)` it made to its
+//! predecessor. A flat state has no update: `base` is its component
+//! vector. A delta state whose predecessor was a delta state too owns
+//! that predecessor (its node's owning link, see
+//! [`Slot::try_publish`]), so the delta states since the last flat one
+//! form a chain, newest first, headed by the published state.
 //!
 //! * **update** publishes a successor state with a compare-exchange,
-//!   rebuilding it from the freshest state on every conflict. Usually
-//!   the successor is a *delta state*: the same `base`, plus one delta
-//!   `(component, value)` linked onto the current list — `O(1)`, one
-//!   value clone, whatever the component count. The update copies the
-//!   whole vector eagerly (`O(n)`, a new flat state) in two cases only:
-//!   the current state has already been scanned (scanners are active,
-//!   and a flat successor spares their next scans a build), or the
-//!   delta list would reach the component count (which bounds both the
-//!   walk a build pays and the memory a state retains to `O(n)`).
+//!   rebuilding it from the freshest state on every conflict in the
+//!   same allocation. Usually the successor is a delta state: the same
+//!   `base` and the update moved into the state node — `O(1)`, one
+//!   allocation, no value clone, whatever the component count. The
+//!   update copies the whole vector eagerly (`O(n)`, a new flat state)
+//!   in two cases only: the current state has already been scanned
+//!   (scanners are active, and a flat successor spares their next
+//!   scans a build), or the chain would reach the component count
+//!   (which bounds both the walk a build pays and the memory a chain
+//!   retains to `O(n)`).
 //! * **scan** of a flat state is one guarded load plus one `Arc`
 //!   refcount increment of `base`. A delta state is materialized once:
-//!   its first scan copies `base`, applies the deltas oldest first, and
-//!   installs the vector in the state's set-once [`OnceArc`] cell with
-//!   a compare-exchange from null. Later scans clone the cached `Arc`.
-//!   Racing first scans each build a copy; the losers drop theirs and
-//!   return the winner's, so no scan ever waits. Every scan also sets
-//!   the state's `scanned` flag (a store only if it was clear), which
-//!   is how the next update knows scanners are active.
+//!   its first scan copies `base`, applies the chain's updates oldest
+//!   first, and installs the vector in the state's set-once
+//!   [`OnceArc`] cell with a compare-exchange from null. Later scans
+//!   clone the cached `Arc`. Racing first scans each build a copy; the
+//!   losers drop theirs and return the winner's, so no scan ever
+//!   waits. Every scan also sets the state's `scanned` flag (a store
+//!   only if it was clear), which is how the next update knows
+//!   scanners are active.
 //!
 //! Cost model: the paper analyses its protocols in the unit-cost
 //! snapshot model, where an update is one cheap step. Delta
@@ -59,52 +64,37 @@
 //!
 //! Memory reclamation (displaced states, and the ABA-safety of the
 //! pointer CAS) is inherited from the [`Pile`] reader gates — see the
-//! [`lockfree`](crate::lockfree) module docs. Bases, deltas and cached
-//! views are reference-counted, so a retired state keeps exactly the
-//! parts its successors still share.
+//! [`lockfree`](crate::lockfree) module docs. A delta state displaced
+//! by another delta state is not retired: its successor adopts it. The
+//! whole chain is retired once, when a flat state displaces its newest
+//! node, with a stamp drawn after every node of the chain was unlinked,
+//! so the reader gates cover each node as they cover a single state.
+//! Bases and cached views are reference-counted, so a retired state
+//! keeps exactly the parts its successors still share.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::lockfree::{OnceArc, Pile, Slot};
+use crate::lockfree::{Candidate, Loaded, OnceArc, Pile, Slot};
 
 use sift_sim::{ScanView, Value};
 
-/// One update since a state's base vector. Deltas form a persistent
-/// list, newest first, shared between successive states.
-#[derive(Debug)]
-struct Delta<V> {
-    component: usize,
-    value: V,
-    older: Option<Arc<Delta<V>>>,
-}
-
-impl<V> Drop for Delta<V> {
-    fn drop(&mut self) {
-        // Unlink iteratively: a list as long as the component count
-        // must not recurse once per link.
-        let mut older = self.older.take();
-        while let Some(link) = older {
-            older = match Arc::try_unwrap(link) {
-                Ok(mut delta) => delta.older.take(),
-                Err(_) => None,
-            };
-        }
-    }
-}
-
 /// One immutable published state: the version is the number of updates
-/// that ever succeeded; the components are `base` with `deltas` applied
-/// oldest first.
+/// that ever succeeded; the components are `base` with the updates of
+/// this state and its chain of older delta states applied oldest first.
 #[derive(Debug)]
 struct State<V> {
     version: u64,
     /// The components of the nearest flat ancestor (of this state
-    /// itself when `deltas` is `None`).
+    /// itself when `update` is `None`).
     base: Arc<Vec<Option<V>>>,
-    /// Updates since `base`, newest first.
-    deltas: Option<Arc<Delta<V>>>,
-    /// Length of `deltas`.
+    /// The update a delta state made to its predecessor; `None` for a
+    /// flat state. A delta state's node owns its predecessor when that
+    /// was a delta state too, so the chain of delta states is retired
+    /// as one unit, by the flat state that displaces its newest node.
+    update: Option<(usize, V)>,
+    /// Delta states since `base`: the length of the chain this state
+    /// heads.
     depth: usize,
     /// Set by the first scan. Only a hint for the next update's copy
     /// policy, so `Relaxed`: it publishes no data.
@@ -116,61 +106,84 @@ struct State<V> {
 
 impl<V: Value> State<V> {
     fn flat(version: u64, components: Vec<Option<V>>) -> Self {
+        Self::new(version, Arc::new(components), None, 0)
+    }
+
+    fn new(
+        version: u64,
+        base: Arc<Vec<Option<V>>>,
+        update: Option<(usize, V)>,
+        depth: usize,
+    ) -> Self {
         Self {
             version,
-            base: Arc::new(components),
-            deltas: None,
-            depth: 0,
+            base,
+            update,
+            depth,
             scanned: AtomicBool::new(false),
             view: OnceArc::new(),
         }
     }
 
-    /// This state's components with `component` replaced by `value`:
-    /// the vector an eager update publishes. Each component is cloned
-    /// once, the replaced one not at all, unless the deltas still have
-    /// to be applied.
-    fn with_component(&self, component: usize, value: &V) -> Vec<Option<V>> {
-        let components = match (&self.deltas, self.view.get()) {
-            (None, _) => &self.base,
+    /// The components of the state `head` loaded with `component`
+    /// replaced by `value`: the vector an eager update publishes. Each
+    /// component is cloned once, the replaced one not at all, unless
+    /// the chain's updates still have to be applied.
+    fn with_component(head: Loaded<'_, Self>, component: usize, value: V) -> Vec<Option<V>> {
+        let state = head.get().expect("a loaded state");
+        let components = match (&state.update, state.view.get()) {
+            (None, _) => &state.base,
             (Some(_), Some(view)) => view,
             (Some(_), None) => {
-                let mut components = self.build();
-                components[component] = Some(value.clone());
+                let mut components = Self::build(head);
+                components[component] = Some(value);
                 return components;
             }
         };
         let mut out = Vec::with_capacity(components.len());
         out.extend_from_slice(&components[..component]);
-        out.push(Some(value.clone()));
+        out.push(Some(value));
         out.extend_from_slice(&components[component + 1..]);
         out
     }
 
-    /// This state's components, built from `base` with the deltas
-    /// applied oldest first.
-    fn build(&self) -> Vec<Option<V>> {
-        let mut components = Vec::clone(&self.base);
-        let mut newest_first = Vec::with_capacity(self.depth);
-        let mut link = self.deltas.as_deref();
-        while let Some(delta) = link {
-            newest_first.push(delta);
-            link = delta.older.as_deref();
+    /// The components of the state `head` loaded, built from `base`
+    /// with the updates of its chain applied oldest first.
+    fn build(head: Loaded<'_, Self>) -> Vec<Option<V>> {
+        let state = head.get().expect("a loaded state");
+        let mut components = Vec::clone(&state.base);
+        let mut newest_first = Vec::with_capacity(state.depth);
+        let mut link = head;
+        while let Some(state) = link.get() {
+            newest_first.extend(&state.update);
+            link = link.older();
         }
-        for delta in newest_first.into_iter().rev() {
-            components[delta.component] = Some(delta.value.clone());
+        for (component, value) in newest_first.into_iter().rev() {
+            components[*component] = Some(value.clone());
         }
         components
     }
 
-    /// The first scan of a delta state: builds its components and
-    /// installs them as the cached view (or adopts the view a racing
-    /// scan installed first).
+    /// The first scan of the delta state `head` loaded: builds its
+    /// components and installs them as the cached view (or adopts the
+    /// view a racing scan installed first).
     #[cold]
     #[inline(never)]
-    fn materialize(&self) -> Arc<Vec<Option<V>>> {
+    fn materialize(head: Loaded<'_, Self>) -> Arc<Vec<Option<V>>> {
         crate::obs::note_snapshot_rebuild();
-        self.view.set(Arc::new(self.build()))
+        let view = &head.get().expect("a loaded state").view;
+        view.set(Arc::new(Self::build(head)))
+    }
+
+    /// Takes back the value an unpublished candidate was built around,
+    /// so the next attempt can move it into its rebuilt candidate.
+    fn take_value(&mut self, component: usize) -> V {
+        match self.update.take() {
+            Some((_, value)) => value,
+            None => Arc::get_mut(&mut self.base)
+                .and_then(|components| components[component].take())
+                .expect("an unpublished flat candidate owns its vector"),
+        }
     }
 }
 
@@ -186,8 +199,9 @@ impl<V: Value> State<V> {
 /// * *update* — its successful compare-exchange on the root pointer:
 ///   the published state contains every earlier update (the candidate
 ///   was built from the pointer the CAS then displaced, whether as a
-///   delta on it or as a full copy of it) and becomes visible to every
-///   later load atomically;
+///   delta state extending it or as a full copy of it) and becomes
+///   visible to every later load atomically. Failed attempts publish
+///   nothing: the candidate is rebuilt from the state that won;
 /// * *scan* — its root pointer load: the returned view is the complete
 ///   component vector of the state loaded. A cached view is a pure
 ///   function of that immutable state, so it does not matter which
@@ -242,39 +256,63 @@ impl<V: Value> LockFreeSnapshot<V> {
     /// # Panics
     ///
     /// Panics if `component` is out of range.
-    pub fn update(&self, component: usize, value: V) {
+    pub fn update(&self, component: usize, mut value: V) {
         assert!(
             component < self.components,
             "component {component} out of range for {}-component snapshot",
             self.components
         );
         let guard = self.pile.enter();
+        let mut current = self.root.load_current(&guard);
         let mut full_copy = false;
-        self.root.publish_with(&self.pile, &guard, |current| {
-            let current = current.expect("root state is published at construction");
-            let version = current.version + 1;
+        let mut spare: Option<Candidate<State<V>>> = None;
+        let mut attempts = 0u32;
+        loop {
+            let cur = current
+                .get()
+                .expect("root state is published at construction");
+            let version = cur.version + 1;
             // Sticky across retries: a conflict means the state this
             // update found scanned was displaced by another writer's,
             // not that its scanners went away.
-            full_copy |=
-                current.scanned.load(Ordering::Relaxed) || current.depth + 1 >= self.components;
-            if full_copy {
-                State::flat(version, current.with_component(component, &value))
+            full_copy |= cur.scanned.load(Ordering::Relaxed) || cur.depth + 1 >= self.components;
+            let state = if full_copy {
+                State::flat(version, State::with_component(current, component, value))
             } else {
-                State {
+                State::new(
                     version,
-                    base: Arc::clone(&current.base),
-                    deltas: Some(Arc::new(Delta {
-                        component,
-                        value: value.clone(),
-                        older: current.deltas.clone(),
-                    })),
-                    depth: current.depth + 1,
-                    scanned: AtomicBool::new(false),
-                    view: OnceArc::new(),
+                    Arc::clone(&cur.base),
+                    Some((component, value)),
+                    cur.depth + 1,
+                )
+            };
+            let candidate = match spare.take() {
+                Some(mut candidate) => {
+                    *candidate.get_mut() = state;
+                    candidate
+                }
+                None => Candidate::new(state),
+            };
+            // A delta state on a delta state extends its chain; anything
+            // else retires the displaced state (and the chain it heads).
+            let adopt = !full_copy && cur.update.is_some();
+            match self.root.try_publish(current, candidate, adopt, &self.pile) {
+                Ok(()) => break,
+                Err((mut lost, now)) => {
+                    value = lost.get_mut().take_value(component);
+                    spare = Some(lost);
+                    current = now;
+                    // Bounded backoff: under a write burst, each failed
+                    // CAS costs a rebuild (an `O(n)` copy on the eager
+                    // path), so a short pause that lets the winner
+                    // finish is much cheaper than re-colliding at once.
+                    for _ in 0..(1u32 << attempts.min(6)) {
+                        std::hint::spin_loop();
+                    }
+                    attempts += 1;
                 }
             }
-        });
+        }
         if full_copy {
             crate::obs::note_snapshot_full_copy();
         } else {
@@ -287,17 +325,22 @@ impl<V: Value> LockFreeSnapshot<V> {
     /// a delta state builds its vector (`O(n)`) once.
     pub fn scan(&self) -> ScanView<V> {
         let guard = self.pile.enter();
-        let state = self
-            .root
-            .load(&guard)
+        let current = self.root.load_current(&guard);
+        let state = current
+            .get()
             .expect("root state is published at construction");
         if !state.scanned.load(Ordering::Relaxed) {
             state.scanned.store(true, Ordering::Relaxed);
         }
-        if state.deltas.is_none() {
+        if state.update.is_none() {
             return ScanView::from_arc(Arc::clone(&state.base));
         }
-        ScanView::from_arc(state.view.get_arc().unwrap_or_else(|| state.materialize()))
+        ScanView::from_arc(
+            state
+                .view
+                .get_arc()
+                .unwrap_or_else(|| State::materialize(current)),
+        )
     }
 
     /// The number of updates that have linearized so far.
@@ -381,7 +424,7 @@ mod tests {
 
     #[test]
     fn delta_lists_fold_and_repeat_components() {
-        // Repeated writes to one component inside a delta list must
+        // Repeated writes to one component inside a delta chain must
         // resolve to the newest; folds at the depth cap must keep
         // everything.
         let snap = LockFreeSnapshot::new(4);
@@ -569,6 +612,28 @@ mod tests {
             for h in handles {
                 kept.extend(h.join().unwrap());
             }
+            // Conflicting writers: all threads released at once into
+            // unscanned bursts, so most updates race to extend one
+            // delta chain and a lost candidate has linked (and must
+            // not keep) the state that beat it.
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (snap, live) = (Arc::clone(&snap), Arc::clone(&live));
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        for _ in 0..100 {
+                            barrier.wait();
+                            for k in 0..N {
+                                snap.update((t + k) % N, Counted::new(&live));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            kept.push(snap.scan());
             assert!(live.load(Ordering::SeqCst) > 0);
             // Dropping the object frees the current state and every
             // retired one; the views kept outlive it.
@@ -580,5 +645,28 @@ mod tests {
             0,
             "every created or cloned value dropped exactly once"
         );
+    }
+
+    #[test]
+    fn long_unscanned_chains_drop_in_constant_stack() {
+        // Every update but the fold is a delta state owning its
+        // predecessor, so the object ends up heading a chain of
+        // N - 1 states. Dropping it must not recurse once per link.
+        const N: usize = 200_000;
+        let snap = LockFreeSnapshot::new(N);
+        for c in 0..N - 1 {
+            snap.update(c, c as u64);
+        }
+        {
+            let guard = snap.pile.enter();
+            let state = snap.root.load(&guard).unwrap();
+            assert_eq!(state.depth, N - 1, "one unbroken chain");
+        }
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || drop(snap))
+            .unwrap()
+            .join()
+            .expect("dropping a long chain overflowed a 256 KiB stack");
     }
 }

@@ -6,7 +6,7 @@
 //!   publication cell. An update publishes an `O(1)` delta state
 //!   (component, value, on top of its predecessor) with one
 //!   compare-exchange, and copies the vector only when the current
-//!   state was already scanned or its delta list reached the component
+//!   state was already scanned or its delta chain reached the component
 //!   count. A scan is one load plus an `Arc` clone; the first scan of a
 //!   delta state builds the vector once and caches it. What the runtime
 //!   uses by default.

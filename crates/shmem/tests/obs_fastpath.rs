@@ -110,4 +110,10 @@ fn inline_paths_bypass_pile_machinery() {
     assert_eq!(snap.snapshot_full_copies, 3);
     assert_eq!(snap.snapshot_rebuilds, 2);
     assert_eq!(snap.republish_conflicts, 0, "one thread: no CAS conflicts");
+    // Every update displaced one state node: retired alone, or as part
+    // of the 7-node and 2-node delta chains the folds retired whole.
+    // Fewer retires than a reclaim interval, so all are still pending.
+    assert_eq!(snap.retired_nodes, 13, "chains count every node");
+    assert_eq!(snap.reclaimed_nodes, 0);
+    assert_eq!(snap.retire_pile_len, 13);
 }

@@ -125,8 +125,17 @@ anatomy:
     cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload batch-contended --seed 3 --seconds 2 --trace 1
 
+# AddressSanitizer over the lock-free substrate: its unit tests and the
+# linearizability suite, on the nightly toolchain (the sanitizer flag is
+# nightly-only), in a target dir of their own.
+asan:
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q \
+        --target x86_64-unknown-linux-gnu --target-dir target/asan -p sift-shmem --lib
+    RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q \
+        --target x86_64-unknown-linux-gnu --target-dir target/asan --test linearizability
+
 # Everything CI runs.
-ci: fmt-check clippy tier1 test-coarse test-obs mc determinism conformance adversary service soak anatomy
+ci: fmt-check clippy tier1 test-coarse test-obs mc determinism conformance adversary service soak anatomy asan
 
 # Regenerate the recorded experiment output (uses all cores).
 experiments:
